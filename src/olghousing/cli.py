@@ -19,8 +19,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,14 +30,13 @@ from .preferences import CesAggregator, HousingUtility
 from .regimes import (
     EconomyParams,
     LongRunKind,
+    Regime,
     RegimeTag,
-    WelfareClass,
     bubbly_steady_state,
     classify,
     credit_transform,
     fundamental_steady_state,
     gamma1_steady_state,
-    thresholds,
     welfare_class,
 )
 from .solver import (
@@ -119,7 +118,7 @@ _TERMINAL_NAMES = tuple(k.value for k in TerminalKind)
 _KNOWN_KEYS = {
     "beta", "sigma", "gamma", "m", "G", "e1", "e2",
     "T", "tail_window", "tol", "seed_pad", "delta",
-    "terminal", "fundamental_seed", "announcements", "terminals",
+    "terminal", "announcements", "terminals",
     "lambda",
     "gamma_inv_min", "gamma_inv_max", "w_inv_min", "w_inv_max", "resolution",
 }
@@ -142,7 +141,6 @@ class RunConfig:
     seed_pad: int | None = None
     delta: float = 1e-3
     terminal: str | None = None
-    fundamental_seed: str = "zero"
     announcements: tuple[AnnouncementSpec, ...] | None = None
     terminals: tuple[str | None, ...] | None = None
     loan_ratio: float | None = None
@@ -163,10 +161,6 @@ class RunConfig:
         terminal = data.get("terminal")
         if terminal is not None and terminal not in _TERMINAL_NAMES:
             raise ConfigError("terminal", f"must be one of {_TERMINAL_NAMES}, got {terminal!r}")
-        seed = data.get("fundamental_seed", "zero")
-        if seed not in ("zero", "asymptote"):
-            raise ConfigError("fundamental_seed",
-                              f"must be 'zero' or 'asymptote', got {seed!r}")
 
         announcements = None
         if data.get("announcements") is not None:
@@ -198,7 +192,6 @@ class RunConfig:
             seed_pad=_get_int(data, "seed_pad", minimum=1),
             delta=_get_float(data, "delta", default=1e-3, minimum=0.0),
             terminal=terminal,
-            fundamental_seed=seed,
             announcements=announcements,
             terminals=terminals,
             loan_ratio=_get_float(data, "lambda", minimum=0.0, exclusive=False),
@@ -306,40 +299,35 @@ def _float_cell(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_path_csv(stream, path: EquilibriumPath) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PATH_HEADER)
-    for t in range(path.T + 1):
-        writer.writerow([
-            t,
-            _float_cell(path.e_y[t]), _float_cell(path.e_o[t]),
-            _float_cell(path.S[t]), _float_cell(path.s[t]),
-            _float_cell(path.P[t]), _float_cell(path.r[t]),
-            _float_cell(path.R[t]), _float_cell(path.q[t]),
-            _float_cell(path.c_y[t]), _float_cell(path.c_o[t]),
-            int(path.belief_index[t]),
-        ])
+def _path_rows(path: EquilibriumPath, cell: Callable[[float], Any]) -> list[list]:
+    """Per-date records in ``PATH_HEADER`` order, each float passed through ``cell``."""
+    floats = zip(*(column.tolist() for column in (
+        path.e_y, path.e_o, path.S, path.s, path.P, path.r, path.R, path.q,
+        path.c_y, path.c_o)))
+    return [[t, *map(cell, values), belief]
+            for t, (values, belief) in enumerate(zip(floats, path.belief_index.tolist()))]
 
 
-def _path_rows_json(path: EquilibriumPath) -> list[dict]:
-    rows = []
-    for t in range(path.T + 1):
-        rows.append({
-            "t": t,
-            "e_y": path.e_y[t], "e_o": path.e_o[t],
-            "S": path.S[t], "s": path.s[t],
-            "P": path.P[t], "r": path.r[t],
-            "R": path.R[t], "q": path.q[t],
-            "c_y": path.c_y[t], "c_o": path.c_o[t],
-            "belief_index": int(path.belief_index[t]),
-        })
-    return rows
+def _check_tail_window(cfg: RunConfig, balanced_from: int = 0) -> None:
+    """Reject, before any solve, a tail window the path diagnostics cannot fit.
+
+    The bubble and efficiency tests need at most half the path and
+    ``tail_window + 1`` dates of the final balanced-growth segment starting
+    at ``balanced_from`` (a horizon ending before it is the solver's error).
+    """
+    limit = (cfg.T + 1) // 2
+    if balanced_from <= cfg.T:
+        limit = min(limit, cfg.T - balanced_from)
+    if cfg.tail_window > limit:
+        raise ConfigError("tail_window",
+                          f"must be at most {limit} for T={cfg.T} with the final endowment "
+                          f"segment from date {balanced_from}, got {cfg.tail_window}")
 
 
 def _summarize_path(command: str, cfg: RunConfig, path: EquilibriumPath) -> dict:
     bubble = detect_bubble(path, delta=cfg.delta, window=cfg.tail_window)
     efficiency = efficiency_test(path, delta=cfg.delta, window=cfg.tail_window)
-    summary = {
+    return {
         "command": command,
         "T": path.T,
         "terminal": path.terminal_kind.value,
@@ -364,7 +352,6 @@ def _summarize_path(command: str, cfg: RunConfig, path: EquilibriumPath) -> dict
             "applicability": efficiency.applicability.value,
         },
     }
-    return summary
 
 
 def _steady_state_json(rep) -> dict:
@@ -391,49 +378,60 @@ def _steady_state_json(rep) -> dict:
     return doc
 
 
+def _long_run(params: EconomyParams, regime: Regime) -> tuple[dict, dict]:
+    """Steady states that exist, and the welfare verdict name per long-run kind.
+
+    Keys are "fundamental" and "bubbly" for gamma < 1 (a verdict is None
+    where that long run cannot exist) and "gamma1" for the state at gamma = 1.
+    """
+    states, welfare = {}, {}
+    gamma = params.housing.gamma
+    if gamma < 1.0:
+        thr = regime.thresholds
+        w = params.income_ratio
+        if w > thr.w_f_star:
+            states["fundamental"] = fundamental_steady_state(params)
+        if w < thr.w_b_star:
+            states["bubbly"] = bubbly_steady_state(params)
+        for name, kind in (("fundamental", LongRunKind.FUNDAMENTAL_LONG_RUN),
+                           ("bubbly", LongRunKind.BUBBLY_LONG_RUN)):
+            try:
+                welfare[name] = welfare_class(params, kind).value
+            except ModelError:
+                welfare[name] = None
+    elif gamma == 1.0:
+        states["gamma1"] = gamma1_steady_state(params)
+    return states, welfare
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_regimes(cfg: RunConfig) -> dict:
     params = cfg.economy()
     regime = classify(params)
-    doc: dict[str, Any] = {
+    thr = regime.thresholds
+    states, welfare = _long_run(params, regime)
+    return {
         "command": "regimes",
         "regime": regime.tag.value,
         "boundary": regime.boundary,
         "income_ratio": params.income_ratio,
-        "w_f_star": None,
-        "w_b_star": None,
-        "steady_states": {},
-        "welfare": {},
+        "w_f_star": None if thr is None else thr.w_f_star,
+        "w_b_star": None if thr is None else thr.w_b_star,
+        "steady_states": {name: _steady_state_json(rep) for name, rep in states.items()},
+        "welfare": welfare,
     }
-    gamma = params.housing.gamma
-    if gamma < 1.0:
-        thr = thresholds(params)
-        doc["w_f_star"] = thr.w_f_star
-        doc["w_b_star"] = thr.w_b_star
-        w = params.income_ratio
-        if w > thr.w_f_star:
-            doc["steady_states"]["fundamental"] = _steady_state_json(
-                fundamental_steady_state(params))
-        if w < thr.w_b_star:
-            doc["steady_states"]["bubbly"] = _steady_state_json(
-                bubbly_steady_state(params))
-        for name, kind in (("fundamental", LongRunKind.FUNDAMENTAL_LONG_RUN),
-                           ("bubbly", LongRunKind.BUBBLY_LONG_RUN)):
-            try:
-                doc["welfare"][name] = welfare_class(params, kind).value
-            except ModelError:
-                doc["welfare"][name] = None
-    elif gamma == 1.0:
-        doc["steady_states"]["gamma1"] = _steady_state_json(gamma1_steady_state(params))
-    return doc
+
+
+def _solve(cfg: RunConfig, params: EconomyParams) -> EquilibriumPath:
+    """Single-belief path of ``params`` over the configured horizon."""
+    terminal = _infer_terminal(params, cfg.terminal)
+    _check_tail_window(cfg)
+    return solve_path(params, None, terminal, cfg.T, tol=cfg.tol, seed_pad=cfg.seed_pad)
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
-    params = cfg.economy()
-    terminal = _infer_terminal(params, cfg.terminal)
-    path = solve_path(params, None, terminal, cfg.T, tol=cfg.tol,
-                      seed_pad=cfg.seed_pad, fundamental_seed=cfg.fundamental_seed)
+    path = _solve(cfg, cfg.economy())
     return path, _summarize_path("solve", cfg, path)
 
 
@@ -466,6 +464,7 @@ def _belief_paths(cfg: RunConfig) -> tuple[BeliefSchedule, EndowmentPath, list[T
 def cmd_scenario(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     params = cfg.economy()
     schedule, realized, kinds = _belief_paths(cfg)
+    _check_tail_window(cfg, realized.balanced_from)
     path = solve_scenario(params, schedule, realized, kinds, cfg.T,
                           tol=cfg.tol, seed_pad=cfg.seed_pad)
     summary = _summarize_path("scenario", cfg, path)
@@ -482,9 +481,7 @@ def cmd_credit(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     if cfg.loan_ratio is None:
         raise ConfigError("lambda", "missing required key")
     transform = credit_transform(params, cfg.loan_ratio)
-    terminal = _infer_terminal(transform.params, cfg.terminal)
-    path = solve_path(transform.params, None, terminal, cfg.T, tol=cfg.tol,
-                      seed_pad=cfg.seed_pad, fundamental_seed=cfg.fundamental_seed)
+    path = _solve(cfg, transform.params)
     summary = _summarize_path("credit", cfg, path)
     summary["credit"] = {
         "lambda": cfg.loan_ratio,
@@ -509,50 +506,29 @@ def _sweep_rows(cfg: RunConfig) -> list[list[str]]:
     w_axis = np.linspace(cfg.w_inv_min, cfg.w_inv_max, cfg.resolution)
     rows = []
     for gamma_inv in gamma_axis:
-        gamma = 1.0 / float(gamma_inv)
         for w_inv in w_axis:
-            w = 1.0 / float(w_inv)
-            params = EconomyParams(
-                agg=CesAggregator(beta=cfg.beta, sigma=cfg.sigma),
-                housing=HousingUtility(gamma=gamma, m=cfg.m),
-                G=cfg.G, e1=1.0, e2=w,
-            )
+            params = replace(cfg, gamma=1.0 / float(gamma_inv),
+                             e1=1.0, e2=1.0 / float(w_inv)).economy()
             rows.append(_sweep_cell(params, float(gamma_inv), float(w_inv)))
     return rows
 
 
 def _sweep_cell(params: EconomyParams, gamma_inv: float, w_inv: float) -> list[str]:
     regime = classify(params)
-    gamma = params.housing.gamma
-    w = params.income_ratio
-    w_f = w_b = s_star = lambda1 = efficient = ""
-    if gamma < 1.0:
-        thr = regime.thresholds
-        w_f = _float_cell(thr.w_f_star)
-        w_b = _float_cell(thr.w_b_star)
-        if regime.boundary != "w_b_star":
-            rep = (bubbly_steady_state(params) if w < thr.w_b_star
-                   else fundamental_steady_state(params))
-            s_star = _float_cell(rep.s_star)
-            lambda1 = _float_cell(rep.lambda1)
-        try:
-            verdict = welfare_class(params, LongRunKind.FUNDAMENTAL_LONG_RUN)
-            efficient = "true" if verdict is WelfareClass.EFFICIENT else "false"
-        except ModelError:
-            efficient = ""
-    elif gamma == 1.0:
-        rep = gamma1_steady_state(params)
-        s_star = _float_cell(rep.s_star)
-        lambda1 = _float_cell(rep.lambda1)
-        efficient = "true"
-    else:
-        efficient = "true"
+    states, welfare = _long_run(params, regime)
+    thr = regime.thresholds
+    w_f = w_b = s_star = lambda1 = ""
+    if thr is not None:
+        w_f, w_b = _float_cell(thr.w_f_star), _float_cell(thr.w_b_star)
+    # the bubbly state where one exists; none on the w_b_star boundary,
+    # where the bubbly state degenerates into the fundamental one
+    picked = [states[k] for k in ("bubbly", "fundamental", "gamma1") if k in states]
+    if picked and regime.boundary != "w_b_star":
+        s_star, lambda1 = _float_cell(picked[0].s_star), _float_cell(picked[0].lambda1)
+    efficient = {"Efficient": "true", "Inefficient": "false",
+                 None: ""}[welfare.get("fundamental", "Efficient")]
     return [_float_cell(gamma_inv), _float_cell(w_inv), regime.tag.value,
             w_f, w_b, s_star, lambda1, efficient]
-
-
-def cmd_sweep(cfg: RunConfig) -> list[list[str]]:
-    return _sweep_rows(cfg)
 
 
 # ------------------------------------------------------------------ entry
@@ -606,9 +582,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out}: {exc}") from exc
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -631,18 +610,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             runner = {"solve": cmd_solve, "scenario": cmd_scenario,
                       "credit": cmd_credit}[args.command]
             path, summary = runner(cfg)
-            buffer = io.StringIO()
-            _write_path_csv(buffer, path)
-            if args.out is not None:
-                _emit(buffer.getvalue(), args.out)
+            if args.format == "json" and args.out is None:
+                summary["rows"] = [dict(zip(PATH_HEADER, row))
+                                   for row in _path_rows(path, float)]
                 sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-            elif args.format == "csv":
-                sys.stdout.write(buffer.getvalue())
             else:
-                summary["rows"] = _path_rows_json(path)
-                sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+                _emit(_csv_text(PATH_HEADER, _path_rows(path, _float_cell)), args.out)
+                if args.out is not None:
+                    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
         else:
-            rows = cmd_sweep(cfg)
+            rows = _sweep_rows(cfg)
             if args.format == "json" and args.out is None:
                 docs = [dict(zip(SWEEP_HEADER, row)) for row in rows]
                 sys.stdout.write(json.dumps(docs, indent=2) + "\n")

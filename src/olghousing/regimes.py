@@ -34,7 +34,6 @@ __all__ = [
     "WelfareClass",
     "CreditTransform",
     "thresholds",
-    "threshold_root_solve",
     "classify",
     "bubbly_steady_state",
     "fundamental_steady_state",
@@ -219,43 +218,18 @@ def _require_gamma_below_one(params: EconomyParams, what: str) -> None:
         )
 
 
-def threshold_root_solve(agg: Aggregator, G: float, target: float) -> float:
-    """Solve mrs(1, G*w) = target for w by bracketed bisection.
-
-    Generic fallback for non-CES aggregators: the marginal rate of
-    substitution is strictly increasing in its second argument, so the
-    bracket can be grown by doubling until it straddles the root.
-    """
-    f = lambda w: agg.mrs(1.0, G * w) - target
-    lo, hi = 0.5, 2.0
-    for _ in range(200):
-        if f(lo) < 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise SolverError("threshold bracket expansion failed at the lower end")
-    for _ in range(200):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("threshold bracket expansion failed at the upper end")
-    return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-
-
 def thresholds(params: EconomyParams) -> Thresholds:
-    """Critical income ratios bounding the bubble regimes (gamma < 1 only)."""
+    """Closed-form critical income ratios bounding the bubble regimes of a
+    CES economy (gamma < 1 only)."""
     _require_gamma_below_one(params, "thresholds")
     agg = params.agg
+    if not isinstance(agg, CesAggregator):
+        raise BranchError(f"thresholds require a CesAggregator, got {type(agg).__name__}")
     G = params.G
     gamma = params.housing.gamma
-    if isinstance(agg, CesAggregator):
-        ratio = agg.beta / (1.0 - agg.beta)
-        w_f = (ratio * G ** (gamma - agg.sigma)) ** (1.0 / agg.sigma)
-        w_b = (ratio * G ** (1.0 - agg.sigma)) ** (1.0 / agg.sigma)
-    else:
-        w_f = threshold_root_solve(agg, G, G ** gamma)
-        w_b = threshold_root_solve(agg, G, G)
+    ratio = agg.beta / (1.0 - agg.beta)
+    w_f = (ratio * G ** (gamma - agg.sigma)) ** (1.0 / agg.sigma)
+    w_b = (ratio * G ** (1.0 - agg.sigma)) ** (1.0 / agg.sigma)
     return Thresholds(w_f_star=w_f, w_b_star=w_b)
 
 
@@ -281,6 +255,21 @@ def classify(params: EconomyParams) -> Regime:
     else:
         tag = RegimeTag.BUBBLE_NECESSITY
     return Regime(tag=tag, income_ratio=w, thresholds=thr)
+
+
+def _linearized_verdict(n: float, d: float) -> tuple[float, Determinacy, str | None]:
+    """Slope ``n/d`` of the implicit share map, its determinacy, and a warning."""
+    if d == 0.0:
+        return (math.inf, Determinacy.SINGULAR,
+                "implicit function theorem inapplicable: linearization singular")
+    lam1 = n / d
+    if abs(lam1) > 1.0:
+        verdict = Determinacy.SADDLE
+    elif abs(lam1) < 1.0:
+        verdict = Determinacy.SINK
+    else:
+        verdict = Determinacy.NON_HYPERBOLIC
+    return lam1, verdict, None
 
 
 def bubbly_steady_state(params: EconomyParams) -> SteadyStateReport:
@@ -314,23 +303,7 @@ def bubbly_steady_state(params: EconomyParams) -> SteadyStateReport:
         singular_value=singular,
         holds=(eps > lower and eps != singular),
     )
-    if d == 0.0:
-        return SteadyStateReport(
-            kind=SteadyStateKind.BUBBLY_DETRENDED,
-            s_star=s,
-            lambda1=math.inf,
-            lambda2=G ** (gamma - 1.0),
-            determinacy=Determinacy.SINGULAR,
-            eis_condition=cond,
-            warning="implicit function theorem inapplicable: linearization singular",
-        )
-    lam1 = n / d
-    if abs(lam1) > 1.0:
-        verdict = Determinacy.SADDLE
-    elif abs(lam1) < 1.0:
-        verdict = Determinacy.SINK
-    else:
-        verdict = Determinacy.NON_HYPERBOLIC
+    lam1, verdict, warning = _linearized_verdict(n, d)
     return SteadyStateReport(
         kind=SteadyStateKind.BUBBLY_DETRENDED,
         s_star=s,
@@ -338,6 +311,7 @@ def bubbly_steady_state(params: EconomyParams) -> SteadyStateReport:
         lambda2=G ** (gamma - 1.0),
         determinacy=verdict,
         eis_condition=cond,
+        warning=warning,
     )
 
 
@@ -418,23 +392,7 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
     inverse_eis = c * cyz / (cy * cz)
     bound = (1.0 + w / s) / (1.0 + w) * (1.0 + G * w * cz / cy)
     cond = Gamma1Condition(inverse_eis=inverse_eis, bound=bound, holds=inverse_eis < bound)
-    if d == 0.0:
-        return SteadyStateReport(
-            kind=SteadyStateKind.GAMMA1_BALANCED_GROWTH,
-            s_star=s,
-            lambda1=math.inf,
-            lambda2=None,
-            determinacy=Determinacy.SINGULAR,
-            determinacy_condition=cond,
-            warning="implicit function theorem inapplicable: linearization singular",
-        )
-    lam1 = n / d
-    if abs(lam1) > 1.0:
-        verdict = Determinacy.SADDLE
-    elif abs(lam1) < 1.0:
-        verdict = Determinacy.SINK
-    else:
-        verdict = Determinacy.NON_HYPERBOLIC
+    lam1, verdict, warning = _linearized_verdict(n, d)
     return SteadyStateReport(
         kind=SteadyStateKind.GAMMA1_BALANCED_GROWTH,
         s_star=s,
@@ -442,6 +400,7 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
         lambda2=None,
         determinacy=verdict,
         determinacy_condition=cond,
+        warning=warning,
     )
 
 

@@ -30,7 +30,6 @@ from .errors import BranchError, DomainError, HorizonError, SolverError
 from .preferences import Aggregator, HousingUtility
 from .regimes import (
     EconomyParams,
-    SteadyStateReport,
     bubbly_steady_state,
     fundamental_steady_state,
     gamma1_steady_state,
@@ -276,18 +275,17 @@ def backward_step(housing: HousingUtility, agg: Aggregator,
 
 
 def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
-                   terminal: TerminalKind) -> tuple[float, SteadyStateReport | None, float | None]:
-    """Terminal share seed and the steady-state report backing it."""
+                   terminal: TerminalKind) -> tuple[float, float | None]:
+    """Terminal share seed and the slope ``lambda1`` at its steady state."""
     branch = params.housing.branch
     terminal = TerminalKind(terminal)
     fin = endowments.final_params(params)
     if branch == "below_one":
         if terminal is TerminalKind.FUNDAMENTAL:
-            rep = fundamental_steady_state(fin)
-            return 0.0, rep, rep.lambda1
+            return 0.0, fundamental_steady_state(fin).lambda1
         if terminal is TerminalKind.BUBBLY:
             rep = bubbly_steady_state(fin)
-            return rep.s_star, rep, rep.lambda1
+            return rep.s_star, rep.lambda1
         raise BranchError(
             f"terminal {terminal.value} is not admissible for gamma < 1; "
             "choose Fundamental or Bubbly"
@@ -296,10 +294,10 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
         if terminal is not TerminalKind.GAMMA1:
             raise BranchError("gamma == 1 admits only the Gamma1 terminal")
         rep = gamma1_steady_state(fin)
-        return rep.s_star, rep, rep.lambda1
+        return rep.s_star, rep.lambda1
     if terminal is not TerminalKind.GAMMA_ABOVE_1:
         raise BranchError("gamma > 1 admits only the GammaAbove1 terminal")
-    return 1.0 - 1e-6, None, None
+    return 1.0 - 1e-6, None
 
 
 def _auto_pad(terminal: TerminalKind, lambda1: float | None) -> int:
@@ -325,16 +323,12 @@ def solve_path(params: EconomyParams,
                terminal: TerminalKind | str,
                T: int,
                tol: float | None = None,
-               seed_pad: int | None = None,
-               fundamental_seed: str = "zero") -> EquilibriumPath:
+               seed_pad: int | None = None) -> EquilibriumPath:
     """Equilibrium path on dates 0..T for one fixed belief.
 
     The terminal condition seeds the expenditure share at the steady state
     of the requested long run, ``pad`` periods beyond T (automatic unless
     ``seed_pad`` is given), then walks the equilibrium equation backwards.
-    ``fundamental_seed="asymptote"`` seeds the fundamental terminal at its
-    detrended asymptote instead of zero; with the default padding both
-    options agree to solver precision on the returned window.
 
     Raises a regime error when the final segment does not admit the
     requested terminal, and a horizon error when the horizon precedes the
@@ -350,15 +344,9 @@ def solve_path(params: EconomyParams,
             f"starting at {endowments.balanced_from}"
         )
     terminal = TerminalKind(terminal)
-    if fundamental_seed not in ("zero", "asymptote"):
-        raise DomainError(f"fundamental_seed must be 'zero' or 'asymptote', got {fundamental_seed!r}")
-    seed_share, rep, lambda1 = _terminal_seed(params, endowments, terminal)
+    seed_share, lambda1 = _terminal_seed(params, endowments, terminal)
     pad = _auto_pad(terminal, lambda1) if seed_pad is None else max(int(seed_pad), 1)
     t_seed = T + pad
-    if terminal is TerminalKind.FUNDAMENTAL and fundamental_seed == "asymptote":
-        fin = endowments.segments[-1]
-        gamma = params.housing.gamma
-        seed_share = rep.s_star * fin.e1 ** (gamma - 1.0) * fin.G ** ((gamma - 1.0) * t_seed)
     log.debug(
         "solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s",
         terminal.value, T, pad, seed_share,
@@ -373,16 +361,27 @@ def solve_path(params: EconomyParams,
     shares = np.empty(t_seed + 1)
     shares[t_seed] = seed_share
     for t in range(t_seed - 1, -1, -1):
-        scale = e_y_full[t + 1] / e_y_full[t]
-        shares[t] = _solve_share(
-            agg, housing,
-            shares[t + 1] * scale,
-            (e_o_full[t + 1] + shares[t + 1] * e_y_full[t + 1]) / e_y_full[t],
-            e_y_full[t],
-            rtol,
-        )
+        shares[t] = _solve_share(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t),
+                                 e_y_full[t], rtol)
 
     return _assemble(params, endowments, terminal, T, shares, e_y_full, e_o_full)
+
+
+def _scaled_next(shares: np.ndarray, e_y: np.ndarray, e_o: np.ndarray,
+                 t: int) -> tuple[float, float]:
+    """``(S_{t+1}/e_y_t, (e_o_{t+1} + S_{t+1})/e_y_t)`` from the share sequence."""
+    scale = e_y[t + 1] / e_y[t]
+    return (shares[t + 1] * scale,
+            (e_o[t + 1] + shares[t + 1] * e_y[t + 1]) / e_y[t])
+
+
+def _present_value(R: np.ndarray) -> np.ndarray:
+    """Date-0 prices ``q`` chained through the gross interest rates ``R``."""
+    q = np.empty(len(R))
+    q[0] = 1.0
+    for t in range(len(R) - 1):
+        q[t + 1] = q[t] / R[t]
+    return q
 
 
 def _assemble(params: EconomyParams, endowments: EndowmentPath,
@@ -403,9 +402,7 @@ def _assemble(params: EconomyParams, endowments: EndowmentPath,
         ok = 0.0 < shares[t] < 1.0
         if not ok:
             raise HorizonError(f"expenditure share left (0, 1) at date {t}: {shares[t]!r}")
-        scale = e_y_full[t + 1] / e_y_full[t]
-        share_next_scaled = shares[t + 1] * scale
-        z_hat = (e_o_full[t + 1] + shares[t + 1] * e_y_full[t + 1]) / e_y_full[t]
+        share_next_scaled, z_hat = _scaled_next(shares, e_y_full, e_o_full, t)
         a, b, rent = _share_residual_terms(agg, housing, shares[t], share_next_scaled, z_hat, e_y_full[t])
         residuals[t] = abs(a - b + rent) / max(a, b, rent)
         # price and rent from their own first-order conditions; this avoids
@@ -420,10 +417,7 @@ def _assemble(params: EconomyParams, endowments: EndowmentPath,
                 "the horizon or terminal padding is too short"
             )
         R[t] = shares[t + 1] * e_y_full[t + 1] / P[t]
-    q = np.empty(n)
-    q[0] = 1.0
-    for t in range(n - 1):
-        q[t + 1] = q[t] / R[t]
+    q = _present_value(R)
     c_y = e_y - S
     c_o = e_o + S
     return EquilibriumPath(
@@ -485,28 +479,12 @@ def solve_scenario(params: EconomyParams,
         active[a_k:] = k
 
     def pick(attr: str) -> np.ndarray:
-        out = np.empty(n)
-        for t in range(n):
-            out[t] = getattr(paths[active[t]], attr)[t]
-        return out
+        return np.stack([getattr(p, attr) for p in paths])[active, np.arange(n)]
 
-    e_y = pick("e_y")
-    e_o = pick("e_o")
-    S = pick("S")
-    s = pick("s")
-    P = pick("P")
-    r = pick("r")
-    c_y = pick("c_y")
-    c_o = pick("c_o")
-    residuals = pick("residuals")
-    R = np.empty(n)
-    for t in range(n - 1):
-        R[t] = S[t + 1] / P[t]
-    R[T] = paths[active[T]].R[T]
-    q = np.empty(n)
-    q[0] = 1.0
-    for t in range(n - 1):
-        q[t + 1] = q[t] / R[t]
+    e_y, e_o, S, s, P, r, c_y, c_o, residuals = map(
+        pick, ("e_y", "e_o", "S", "s", "P", "r", "c_y", "c_o", "residuals"))
+    R = np.append(S[1:] / P[:-1], paths[active[T]].R[T])
+    q = _present_value(R)
     return EquilibriumPath(
         e_y=e_y, e_o=e_o, S=S, s=s, P=P, r=r, R=R, q=q,
         c_y=c_y, c_o=c_o,

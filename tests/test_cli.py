@@ -43,7 +43,7 @@ def run_main(capsys, argv):
 
 def test_config_round_trip_bit_for_bit():
     doc = dict(BUB, tol=1e-13, seed_pad=77, tail_window=25, delta=0.002,
-               terminal="Bubbly", fundamental_seed="asymptote")
+               terminal="Bubbly")
     cfg = RunConfig.from_dict(doc)
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
@@ -66,7 +66,6 @@ def test_config_defaults():
     cfg = RunConfig.from_dict(dict(BASE, e1=95.0, e2=105.0))
     assert cfg.T == 200
     assert cfg.tail_window == 20
-    assert cfg.fundamental_seed == "zero"
     assert cfg.tol is None and cfg.seed_pad is None
 
 
@@ -430,7 +429,50 @@ def test_log_level_goes_to_stderr(tmp_path, monkeypatch, capsys):
 def test_entry_point_subprocess(tmp_path):
     config = write_config(tmp_path, dict(BUB, T=50))
     result = subprocess.run(
-        [sys.executable, "-m", "olghousing.cli", "regimes", "--config", config],
+        [sys.executable, "-m", "olghousing", "regimes", "--config", config],
         capture_output=True, text=True)
     assert result.returncode == 0
+    assert result.stderr == ""
     assert json.loads(result.stdout)["regime"] == "BubbleNecessity"
+
+
+@pytest.mark.parametrize("command,doc", [("solve", dict(BUB, T=60)), ("sweep", SWEEP)],
+                         ids=["solve", "sweep"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, doc):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_main(capsys, [command, "--config", write_config(tmp_path, doc),
+                                       "--out", str(target)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "out"
+
+
+def forbid_solving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path was solved before the config was rejected")
+
+    monkeypatch.setattr("olghousing.cli.solve_path", refuse)
+    monkeypatch.setattr("olghousing.cli.solve_scenario", refuse)
+
+
+def test_tail_window_beyond_half_the_path_rejected_before_solving(tmp_path, capsys,
+                                                                   monkeypatch):
+    forbid_solving(monkeypatch)
+    doc = dict(BUB, T=30, tail_window=20)
+    code, _, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "tail_window"
+
+
+def test_tail_window_beyond_final_segment_rejected_before_solving(tmp_path, capsys,
+                                                                  monkeypatch):
+    forbid_solving(monkeypatch)
+    doc = dict(SCENARIO_4A, tail_window=45)
+    code, _, err = run_main(capsys, ["scenario", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "tail_window"

@@ -1,0 +1,215 @@
+"""Golden bytes of the command line: every subcommand, format and curvature branch.
+
+Each case runs ``main`` in-process on a fixed config and compares sha256
+digests of its standard output, standard error and ``--out`` file, plus its
+exit status, with digests recorded from a known-good build. A refactor that
+claims to leave the CLI unchanged must keep every digest. To re-record them
+after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and paste the printed ``GOLDEN`` mapping over the one below.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from olghousing.cli import main
+
+BASE = {"beta": 0.5, "sigma": 1.0, "gamma": 0.5, "m": 0.1, "G": 1.1}
+
+CONFIGS = {
+    "fundamental": dict(BASE, e1=95.0, e2=105.0, T=80),
+    "possibility": dict(BASE, e1=100.0, e2=98.0, T=80, terminal="Bubbly"),
+    "necessity": dict(BASE, e1=105.0, e2=95.0, T=80),
+    "gamma1": dict(BASE, gamma=1.0, e1=100.0, e2=100.0, T=60),
+    "gamma_above_1": dict(BASE, gamma=1.5, e1=100.0, e2=100.0, T=60),
+    "scenario": dict(BASE, e1=95.0, e2=105.0, T=120, announcements=[
+        {"announce_date": 0, "effective_date": 0, "e1": 95.0, "e2": 105.0},
+        {"announce_date": 40, "effective_date": 40, "e1": 105.0, "e2": 95.0},
+        {"announce_date": 80, "effective_date": 80, "e1": 95.0, "e2": 105.0},
+    ]),
+    "credit": dict(BASE, e1=100.0, e2=120.0, T=80, **{"lambda": 0.2}),
+    # gamma = 2, 1, 2/3, 0.5, 0.4 against income ratios on both sides of
+    # both thresholds, one of them on the w_b_star boundary
+    "sweep": {"beta": 0.5, "sigma": 1.0, "m": 0.1, "G": 1.1,
+              "gamma_inv_min": 0.5, "gamma_inv_max": 2.5,
+              "w_inv_min": 0.92, "w_inv_max": 1.08, "resolution": 5},
+}
+
+# case -> (subcommand, config, extra arguments); OUT stands for the --out file
+OUT = "{out}"
+
+CASES = {
+    "regimes-fundamental": ("regimes", "fundamental", []),
+    "regimes-possibility": ("regimes", "possibility", []),
+    "regimes-necessity": ("regimes", "necessity", []),
+    "regimes-gamma1": ("regimes", "gamma1", []),
+    "regimes-gamma-above-1": ("regimes", "gamma_above_1", []),
+    "regimes-out": ("regimes", "possibility", ["--out", OUT]),
+    "solve-csv": ("solve", "necessity", ["--format", "csv"]),
+    "solve-json": ("solve", "necessity", ["--format", "json"]),
+    "solve-out": ("solve", "necessity", ["--out", OUT]),
+    "solve-fundamental": ("solve", "fundamental", []),
+    "solve-gamma1": ("solve", "gamma1", ["--format", "json"]),
+    "solve-gamma-above-1": ("solve", "gamma_above_1", ["--format", "json"]),
+    "scenario-csv": ("scenario", "scenario", ["--format", "csv"]),
+    "scenario-json": ("scenario", "scenario", ["--format", "json"]),
+    "scenario-out": ("scenario", "scenario", ["--out", OUT]),
+    "credit-csv": ("credit", "credit", ["--format", "csv"]),
+    "credit-json": ("credit", "credit", ["--format", "json"]),
+    "credit-out": ("credit", "credit", ["--out", OUT]),
+    "sweep-csv": ("sweep", "sweep", ["--format", "csv"]),
+    "sweep-json": ("sweep", "sweep", ["--format", "json"]),
+    "sweep-out": ("sweep", "sweep", ["--out", OUT]),
+}
+
+# case -> (exit status, sha256 of stdout, of stderr, of the --out file or None)
+GOLDEN = {
+    "regimes-fundamental": (0,
+        "c37852d85207b71e6045ce22469fe65a283d1ec938fbaa6d3c1821370ddacdb8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regimes-possibility": (0,
+        "35e50c881fc436b33d6f5172ad299e7cddaf71b3c36847bfc53f035dc24f4e6c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regimes-necessity": (0,
+        "1ade9b641d6f07d0e1a85359719d7e1cf0d658769ed451739048778a2215d105",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regimes-gamma1": (0,
+        "d351e4f640e248761be8bc5db499abda9fc50c1da2293b83d8ca3e6ae6b0badd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regimes-gamma-above-1": (0,
+        "eb34b0e77a5dbadb4fff55628bf2e1cc925ae59193469e54b5ae8ad950599fd3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regimes-out": (0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5cc54b92bfd3258a5bc440df88bb949aa12c2197fb9c959bbcb02ae8c4777ade",
+    ),
+    "solve-csv": (0,
+        "416546fdc767bcaa33edbfd43c8244df48ab7cf2bafcc01965cd72ad8a27fbad",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "solve-json": (0,
+        "e502f8028614935be8b595336400561c4e553b3dbe9ea32baf2c99f8ba16f2c0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "solve-out": (0,
+        "8aa5499d088d0ff24f67201ed41c54b09905c26a7fccddf1a4a2c85a05e80293",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "416546fdc767bcaa33edbfd43c8244df48ab7cf2bafcc01965cd72ad8a27fbad",
+    ),
+    "solve-fundamental": (0,
+        "ee4c7173769eede42159340b2561c8d79b60562f38c3f596cb5cb15d951c2c39",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "solve-gamma1": (0,
+        "23ccf18ee617076d230af263a837bcb5be621938236a040be5382f763779cccc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "solve-gamma-above-1": (0,
+        "d290a288bfe4c97586d492db232a578dc2cee86a22f2ea6869f2e1f28f00aed6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "scenario-csv": (0,
+        "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "scenario-json": (0,
+        "301f712cd162e1720f0b2432d71a825106c0e117955ffa80bf997b9df31e95d6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "scenario-out": (0,
+        "b61da5782a263a7f0eb4d77a94d9891d6ac82e3c89eca8bc780bd0ee98c9bf71",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
+    ),
+    "credit-csv": (0,
+        "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "credit-json": (0,
+        "7d184127c5abf40be1522320dc14d2108522450b7e17276faf0d9fdffba9bee2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "credit-out": (0,
+        "f0bb47dc2d964fe24ddfb92bfe0403972a625e1858a46b0080620fd2b7e29a8a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
+    ),
+    "sweep-csv": (0,
+        "d6511ea44ee2a505a394729054c6d45a8b6f2004f183c4fb598a5635db393d94",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "sweep-json": (0,
+        "f7abea1a5c2f5b3fd0c5b820c052bd9fa2620694ac3ae037c3829f9cdeeefe07",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "sweep-out": (0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d6511ea44ee2a505a394729054c6d45a8b6f2004f183c4fb598a5635db393d94",
+    ),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name: str, workdir: Path) -> tuple:
+    command, config, extra = CASES[name]
+    config_path = workdir / f"{name}.json"
+    config_path.write_text(json.dumps(CONFIGS[config]))
+    out_path = workdir / f"{name}.out"
+    argv = [command, "--config", str(config_path)]
+    argv += [str(out_path) if arg == OUT else arg for arg in extra]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out = _digest(out_path.read_bytes()) if out_path.exists() else None
+    return (code, _digest(stdout.getvalue().encode()),
+            _digest(stderr.getvalue().encode()), out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_unchanged(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for case in CASES:
+            code, *digests = run_case(case, Path(tmp))
+            print(f'    "{case}": ({code},')
+            for digest in digests:
+                print(f'        "{digest}",' if digest else "        None,")
+            print("    ),")
+        print("}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from olghousing import BranchError, CesAggregator, DomainError, HousingUtility, LoanError, RegimeError
+from olghousing import Aggregator, BranchError, CesAggregator, DomainError, HousingUtility, LoanError, RegimeError
 from olghousing.regimes import (
     Determinacy,
     EconomyParams,
@@ -22,7 +22,6 @@ from olghousing.regimes import (
     credit_transform,
     fundamental_steady_state,
     gamma1_steady_state,
-    threshold_root_solve,
     thresholds,
     welfare_class,
 )
@@ -69,22 +68,14 @@ def test_threshold_ratio_rule_sigma_one():
         assert thr.w_f_star < thr.w_b_star
 
 
-def test_threshold_root_solve_agrees_with_closed_form():
+def test_thresholds_ordered_on_random_economies():
     rng = np.random.default_rng(42)
     for _ in range(25):
         beta = rng.uniform(0.15, 0.85)
         sigma = rng.uniform(0.3, 4.0)
         gamma = rng.uniform(0.05, 0.95)
         G = rng.uniform(1.01, 1.25)
-        p = make_params(beta=beta, sigma=sigma, gamma=gamma, G=G)
-        thr = thresholds(p)
-        agg = p.agg
-        assert threshold_root_solve(agg, G, G ** gamma) == pytest.approx(
-            thr.w_f_star, rel=1e-10
-        )
-        assert threshold_root_solve(agg, G, G) == pytest.approx(
-            thr.w_b_star, rel=1e-10
-        )
+        thr = thresholds(make_params(beta=beta, sigma=sigma, gamma=gamma, G=G))
         assert 0.0 < thr.w_f_star < thr.w_b_star
 
 
@@ -93,6 +84,20 @@ def test_thresholds_reject_gamma_at_or_above_one():
         thresholds(make_params(gamma=1.0))
     with pytest.raises(BranchError):
         thresholds(make_params(gamma=1.5))
+
+
+def test_thresholds_reject_non_ces_aggregator():
+    class Linear(Aggregator):
+        def value(self, y, z):
+            return y + z
+
+        def partials(self, y, z):
+            return 1.0, 1.0
+
+    params = EconomyParams(agg=Linear(), housing=HousingUtility(gamma=0.5, m=0.1),
+                           G=1.1, e1=1.0, e2=1.0)
+    with pytest.raises(BranchError):
+        thresholds(params)
 
 
 # ---------------------------------------------------------------- classify

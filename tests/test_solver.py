@@ -234,15 +234,6 @@ def test_seed_pad_override_agrees_with_auto():
     assert np.allclose(auto.S, manual.S, rtol=1e-12, atol=0.0)
 
 
-def test_fundamental_seed_options_agree():
-    zero = solve_path(FUND, None, TerminalKind.FUNDAMENTAL, 150)
-    asym = solve_path(FUND, None, TerminalKind.FUNDAMENTAL, 150,
-                      fundamental_seed="asymptote")
-    assert np.allclose(zero.S, asym.S, rtol=1e-12, atol=0.0)
-    with pytest.raises(DomainError):
-        solve_path(FUND, None, TerminalKind.FUNDAMENTAL, 150, fundamental_seed="midpoint")
-
-
 @pytest.mark.parametrize("params,terminal",
                          [(FUND, TerminalKind.FUNDAMENTAL), (BUB, TerminalKind.BUBBLY)],
                          ids=["fundamental", "bubbly"])
