@@ -554,15 +554,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _CliLogHandler(logging.StreamHandler):
+    """The package-logger handler that ``main`` installs under ``OLG_LOG``."""
+
+
 def _setup_logging() -> None:
+    """Send package logs to the current standard error under ``OLG_LOG``.
+
+    Each call first removes the handler and level an earlier call set, so
+    repeated in-process runs keep at most one handler, bound to this run's
+    stream.
+    """
+    root = logging.getLogger("olghousing")
+    for handler in root.handlers[:]:
+        if isinstance(handler, _CliLogHandler):
+            root.removeHandler(handler)
+            root.setLevel(logging.NOTSET)
     level_name = os.environ.get("OLG_LOG", "").lower()
     if level_name not in ("debug", "info"):
         return
-    level = logging.DEBUG if level_name == "debug" else logging.INFO
-    handler = logging.StreamHandler(sys.stderr)
+    handler = _CliLogHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger("olghousing")
-    root.setLevel(level)
+    root.setLevel(logging.DEBUG if level_name == "debug" else logging.INFO)
     root.addHandler(handler)
 
 

@@ -2,9 +2,9 @@
 
 The equilibrium machinery is generic in a linearly homogeneous aggregator
 c(y, z) over young- and old-age consumption: it only ever calls ``value``,
-``partials``, ``second_partials``, ``mrs`` and ``eis``. The CES family is the
-shipped instance; its unit-elasticity member (Cobb-Douglas) is an exact
-branch, never a numerical limit.
+``partials``, ``value_partials``, ``second_partials``, ``mrs`` and ``eis``.
+The CES family is the shipped instance; its unit-elasticity member
+(Cobb-Douglas) is an exact branch, never a numerical limit.
 """
 from __future__ import annotations
 
@@ -39,6 +39,11 @@ class Aggregator:
     def partials(self, y: float, z: float) -> tuple[float, float]:
         """First partial derivatives (c_y, c_z), both positive."""
         raise NotImplementedError
+
+    def value_partials(self, y: float, z: float) -> tuple[float, float, float]:
+        """``(c, c_y, c_z)`` at one point; override to share the work."""
+        cy, cz = self.partials(y, z)
+        return self.value(y, z), cy, cz
 
     def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
         """Second partial derivatives (c_yy, c_yz, c_zz), signs (-, +, -)."""
@@ -98,10 +103,13 @@ class CesAggregator(Aggregator):
         return math.exp((top + math.log(inner)) / e)
 
     def partials(self, y: float, z: float) -> tuple[float, float]:
+        return self.value_partials(y, z)[1:]
+
+    def value_partials(self, y: float, z: float) -> tuple[float, float, float]:
         c = self.value(y, z)
         cy = (1.0 - self.beta) * (y / c) ** (-self.sigma)
         cz = self.beta * (z / c) ** (-self.sigma)
-        return cy, cz
+        return c, cy, cz
 
     def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
         # cross partial from the CES curvature identity c_yz = sigma c_y c_z / c;

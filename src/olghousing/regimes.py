@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .errors import BranchError, DomainError, LoanError, RegimeError, SolverError
 from .preferences import Aggregator, CesAggregator, HousingUtility
+from .roots import brentq
 
 __all__ = [
     "EconomyParams",
@@ -373,9 +372,7 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
     m = params.housing.m
 
     def foc(s: float) -> float:
-        y, z = 1.0 - s, G * (w + s)
-        c = agg.value(y, z)
-        cy, cz = agg.partials(y, z)
+        c, cy, cz = agg.value_partials(1.0 - s, G * (w + s))
         return (G * cz - cy) / c + m / s
 
     lo, hi = 1e-12, 1.0 - 1e-12

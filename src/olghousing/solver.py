@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BranchError, DomainError, HorizonError, SolverError
 from .preferences import Aggregator, HousingUtility
@@ -34,6 +33,7 @@ from .regimes import (
     fundamental_steady_state,
     gamma1_steady_state,
 )
+from .roots import brentq
 
 __all__ = [
     "Segment",
@@ -50,7 +50,8 @@ log = logging.getLogger(__name__)
 
 # interior margin for the share bracket, relative to young income
 _EDGE = 1e-14
-# minimum relative tolerance accepted by the bracketed root solve
+# floor on the relative tolerance of the share root solve: about 4 ulp,
+# below which Brent's stopping test may never be met
 _MIN_RTOL = 9e-16
 
 
@@ -210,18 +211,18 @@ class EquilibriumPath:
 
 def _share_residual_terms(agg: Aggregator, housing: HousingUtility,
                           share: float, share_next_scaled: float,
-                          z_hat: float, e_y_t: float) -> tuple[float, float, float]:
-    """The three terms of the equilibrium equation in units of young income.
+                          z_hat: float, e_y_t: float
+                          ) -> tuple[float, float, float, float, float]:
+    """The three terms of the equilibrium equation in units of young income,
+    followed by the aggregator partials ``(c_y, c_z)`` they were built from.
 
     ``share_next_scaled`` is S_{t+1}/e_y_t and ``z_hat`` is next-period old
     cash-in-hand (e_o_{t+1} + S_{t+1})/e_y_t; the equation balances
     ``share_next_scaled*c_z + rent_term`` against ``share*c_y``.
     """
-    y = 1.0 - share
-    c = agg.value(y, z_hat)
-    cy, cz = agg.partials(y, z_hat)
+    c, cy, cz = agg.value_partials(1.0 - share, z_hat)
     rent = housing.m * e_y_t ** (housing.gamma - 1.0) * c ** housing.gamma
-    return share_next_scaled * cz, share * cy, rent
+    return share_next_scaled * cz, share * cy, rent, cy, cz
 
 
 def _solve_share(agg: Aggregator, housing: HousingUtility,
@@ -230,7 +231,7 @@ def _solve_share(agg: Aggregator, housing: HousingUtility,
     """Root of the equilibrium equation for the current expenditure share."""
 
     def f(u: float) -> float:
-        a, b, rent = _share_residual_terms(agg, housing, u, share_next_scaled, z_hat, e_y_t)
+        a, b, rent, _, _ = _share_residual_terms(agg, housing, u, share_next_scaled, z_hat, e_y_t)
         return a - b + rent
 
     lo, hi = _EDGE, 1.0 - _EDGE
@@ -403,12 +404,12 @@ def _assemble(params: EconomyParams, endowments: EndowmentPath,
         if not ok:
             raise HorizonError(f"expenditure share left (0, 1) at date {t}: {shares[t]!r}")
         share_next_scaled, z_hat = _scaled_next(shares, e_y_full, e_o_full, t)
-        a, b, rent = _share_residual_terms(agg, housing, shares[t], share_next_scaled, z_hat, e_y_full[t])
+        a, b, rent, cy_d, cz_d = _share_residual_terms(agg, housing, shares[t], share_next_scaled,
+                                                       z_hat, e_y_full[t])
         residuals[t] = abs(a - b + rent) / max(a, b, rent)
         # price and rent from their own first-order conditions; this avoids
         # the cancellation in S - r when the price is a sliver of S, and in
         # S - P when the rent is (the marginal utilities are scale free)
-        cy_d, cz_d = agg.partials(1.0 - shares[t], z_hat)
         r[t] = (rent / cy_d) * e_y[t]
         P[t] = shares[t + 1] * e_y_full[t + 1] * cz_d / cy_d
         if not P[t] > 0.0:

@@ -3,13 +3,18 @@ import csv
 import io
 import json
 import math
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import olghousing
 from olghousing.cli import PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig, main
 from olghousing.errors import ConfigError
+from test_cli_golden import CASES, CONFIGS, GOLDEN, OUT
 
 BASE = {"beta": 0.5, "sigma": 1.0, "gamma": 0.5, "m": 0.1, "G": 1.1}
 
@@ -426,6 +431,20 @@ def test_log_level_goes_to_stderr(tmp_path, monkeypatch, capsys):
     assert header == PATH_HEADER
 
 
+def test_repeated_logged_runs_keep_one_handler(tmp_path, monkeypatch):
+    monkeypatch.setenv("OLG_LOG", "debug")
+    argv = ["solve", "--config", write_config(tmp_path, dict(BUB, T=60))]
+    streams = []
+    for _ in range(2):
+        streams.append(io.StringIO())
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", streams[-1])
+        assert main(argv) == 0
+    first, second = (stream.getvalue().splitlines() for stream in streams)
+    assert first and second == first
+    assert len(set(second)) == len(second)
+
+
 def test_entry_point_subprocess(tmp_path):
     config = write_config(tmp_path, dict(BUB, T=50))
     result = subprocess.run(
@@ -434,6 +453,34 @@ def test_entry_point_subprocess(tmp_path):
     assert result.returncode == 0
     assert result.stderr == ""
     assert json.loads(result.stdout)["regime"] == "BubbleNecessity"
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(olghousing.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    result = run_python("import sys, olghousing.cli; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == b"[]\n"
+
+
+@pytest.mark.parametrize("case", ["solve-out", "regimes-necessity"])
+def test_cli_runs_with_scipy_blocked(tmp_path, case):
+    command, config, extra = CASES[case]
+    out_path = tmp_path / "out.csv"
+    argv = [command, "--config", write_config(tmp_path, CONFIGS[config])]
+    argv += [str(out_path) if arg == OUT else arg for arg in extra]
+    result = run_python('import sys; sys.modules["scipy"] = None; '
+                        "from olghousing.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert result.returncode == 0 and result.stderr == b""
+    out = hashlib.sha256(out_path.read_bytes()).hexdigest() if out_path.exists() else None
+    digests = (hashlib.sha256(result.stdout).hexdigest(), hashlib.sha256(result.stderr).hexdigest())
+    assert (result.returncode, *digests, out) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("command,doc", [("solve", dict(BUB, T=60)), ("sweep", SWEEP)],

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from olghousing import CesAggregator, DomainError, HousingUtility
+from olghousing import Aggregator, CesAggregator, DomainError, HousingUtility
 
 # (beta, sigma, y, z) -> (c, c_y, c_z, c_yy, c_yz, c_zz, mrs, eis)
 FROZEN = {
@@ -101,6 +101,20 @@ def test_homogeneity_and_euler(beta, sigma):
         assert cy2 == pytest.approx(cy, rel=1e-12)
         assert cz2 == pytest.approx(cz, rel=1e-12)
         assert agg.mrs(2.0 * y, 2.0 * z) == pytest.approx(agg.mrs(y, z), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (0.4, 1.7), (0.3, 0.5), (0.7, 4.0)])
+def test_value_partials_is_value_and_partials(beta, sigma):
+    agg = CesAggregator(beta=beta, sigma=sigma)
+
+    class Delegating(Aggregator):
+        value = agg.value
+        partials = agg.partials
+
+    for y, z in _random_grid():
+        expected = (agg.value(y, z), *agg.partials(y, z))
+        assert agg.value_partials(y, z) == expected
+        assert Delegating().value_partials(y, z) == expected
 
 
 @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (0.4, 1.7), (0.3, 0.5)])
