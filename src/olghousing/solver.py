@@ -53,6 +53,11 @@ _EDGE = 1e-14
 # floor on the relative tolerance of the share root solve: about 4 ulp,
 # below which Brent's stopping test may never be met
 _MIN_RTOL = 9e-16
+_LOG_EDGE = math.log(_EDGE)
+_LOG_8 = math.log(8.0)
+# deepest k whose lower share bracket _EDGE/8**k stays at or above the
+# 1e-300 floor below which the root counts as unrepresentable
+_MAX_DEPTH = next(k for k in range(2000) if math.ldexp(_EDGE, -3 * (k + 1)) < 1e-300)
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,20 @@ class Segment:
             raise DomainError(f"segment e2 must be positive and finite, got {self.e2!r}")
         if not (self.G > 0.0 and math.isfinite(self.G)):
             raise DomainError(f"segment G must be positive and finite, got {self.G!r}")
+
+
+def _level(e: float, G: float, t: int) -> float:
+    """Endowment level ``e * G**t``; a horizon error once it is not finite."""
+    try:
+        level = e * G ** t
+    except OverflowError:
+        level = math.inf
+    if not math.isfinite(level):
+        raise HorizonError(
+            f"endowment level is not finite at date {t} (G={float(G)!r}); "
+            "shorten the horizon or the terminal padding"
+        )
+    return level
 
 
 @dataclass(frozen=True)
@@ -125,11 +144,11 @@ class EndowmentPath:
 
     def young(self, t: int) -> float:
         seg = self.segment_at(t)
-        return seg.e1 * seg.G ** t
+        return _level(seg.e1, seg.G, t)
 
     def old(self, t: int) -> float:
         seg = self.segment_at(t)
-        return seg.e2 * seg.G ** t
+        return _level(seg.e2, seg.G, t)
 
     @property
     def balanced_from(self) -> int:
@@ -209,38 +228,68 @@ class EquilibriumPath:
         return len(self.S) - 1
 
 
-def _share_residual_terms(agg: Aggregator, housing: HousingUtility,
-                          share: float, share_next_scaled: float,
-                          z_hat: float, e_y_t: float
-                          ) -> tuple[float, float, float, float, float]:
-    """The three terms of the equilibrium equation in units of young income,
-    followed by the aggregator partials ``(c_y, c_z)`` they were built from.
+def _equation(agg: Aggregator, housing: HousingUtility,
+              share_next_scaled: float, z_hat: float, e_y_t: float):
+    """The equilibrium equation at one date, as a function of today's share u.
 
     ``share_next_scaled`` is S_{t+1}/e_y_t and ``z_hat`` is next-period old
-    cash-in-hand (e_o_{t+1} + S_{t+1})/e_y_t; the equation balances
-    ``share_next_scaled*c_z + rent_term`` against ``share*c_y``.
+    cash-in-hand (e_o_{t+1} + S_{t+1})/e_y_t, both in units of young income.
+    The equation balances ``share_next_scaled*c_z + rent`` against ``u*c_y``;
+    the returned function gives the residual ``(share_next_scaled*c_z -
+    u*c_y) + rent`` or, with ``terms=True``, its three terms followed by the
+    aggregator partials ``(c_y, c_z)`` they were built from.
     """
-    c, cy, cz = agg.value_partials(1.0 - share, z_hat)
-    rent = housing.m * e_y_t ** (housing.gamma - 1.0) * c ** housing.gamma
-    return share_next_scaled * cz, share * cy, rent, cy, cz
+    gamma = housing.gamma
+    rent_scale = housing.m * e_y_t ** (gamma - 1.0)
+    value_partials = agg.value_partials
+
+    def residual(u: float, terms: bool = False):
+        c, cy, cz = value_partials(1.0 - u, z_hat)
+        resale, spent, rent = share_next_scaled * cz, u * cy, rent_scale * c ** gamma
+        if terms:
+            return resale, spent, rent, cy, cz
+        return resale - spent + rent
+
+    return residual
+
+
+def _bracket_depth(share_next_scaled: float) -> int:
+    """First guess of the depth k at which ``_EDGE/8**k`` lies below the root.
+
+    Along the fundamental path the share falls by a bounded factor per date,
+    so today's root sits within a factor of a few of ``share_next_scaled``.
+    """
+    if not 0.0 < share_next_scaled < _EDGE:
+        return 0
+    k = int((_LOG_EDGE - math.log(share_next_scaled)) / _LOG_8)
+    return min(max(k, 0), _MAX_DEPTH)
 
 
 def _solve_share(agg: Aggregator, housing: HousingUtility,
                  share_next_scaled: float, z_hat: float, e_y_t: float,
                  rtol: float) -> float:
     """Root of the equilibrium equation for the current expenditure share."""
-
-    def f(u: float) -> float:
-        a, b, rent, _, _ = _share_residual_terms(agg, housing, u, share_next_scaled, z_hat, e_y_t)
-        return a - b + rent
-
-    lo, hi = _EDGE, 1.0 - _EDGE
-    # f is strictly decreasing with f(0+) > 0 and f(1-) = -inf; push the
-    # brackets toward the boundaries until they straddle the root
-    while f(lo) <= 0.0:
-        lo /= 8.0
-        if lo < 1e-300:
-            raise SolverError("share root vanished below representable range")
+    f = _equation(agg, housing, share_next_scaled, z_hat, e_y_t)
+    # f is strictly decreasing with f(0+) > 0 and f(1-) = -inf; the lower
+    # bracket is the shallowest _EDGE/8**k with f > 0, found by walking from
+    # a guessed depth (ldexp by -3k equals k exact divisions by 8)
+    k = _bracket_depth(share_next_scaled)
+    lo = math.ldexp(_EDGE, -3 * k)
+    if f(lo) > 0.0:
+        while k > 0:
+            up = math.ldexp(_EDGE, -3 * (k - 1))
+            if f(up) <= 0.0:
+                break
+            k, lo = k - 1, up
+    else:
+        while True:
+            k += 1
+            lo = math.ldexp(_EDGE, -3 * k)
+            if lo < 1e-300:
+                raise SolverError("share root vanished below representable range")
+            if f(lo) > 0.0:
+                break
+    hi = 1.0 - _EDGE
     while f(hi) >= 0.0:
         gap = (1.0 - hi) / 8.0
         if gap < 1e-17:
@@ -356,19 +405,23 @@ def solve_path(params: EconomyParams,
 
     agg, housing = params.agg, params.housing
     rtol = _MIN_RTOL if tol is None else float(tol)
-    e_y_full = np.array([endowments.young(t) for t in range(t_seed + 1)])
-    e_o_full = np.array([endowments.old(t) for t in range(t_seed + 1)])
+    # the recursion runs on plain floats; arrays are built once, in _assemble
+    e_y: list[float] = []
+    e_o: list[float] = []
+    for t in range(t_seed + 1):
+        e_y.append(float(endowments.young(t)))
+        e_o.append(float(endowments.old(t)))
 
-    shares = np.empty(t_seed + 1)
-    shares[t_seed] = seed_share
+    shares = [0.0] * (t_seed + 1)
+    shares[t_seed] = float(seed_share)
     for t in range(t_seed - 1, -1, -1):
-        shares[t] = _solve_share(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t),
-                                 e_y_full[t], rtol)
+        shares[t] = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
+                                 e_y[t], rtol)
 
-    return _assemble(params, endowments, terminal, T, shares, e_y_full, e_o_full)
+    return _assemble(params, endowments, terminal, T, shares, e_y, e_o)
 
 
-def _scaled_next(shares: np.ndarray, e_y: np.ndarray, e_o: np.ndarray,
+def _scaled_next(shares: list[float], e_y: list[float], e_o: list[float],
                  t: int) -> tuple[float, float]:
     """``(S_{t+1}/e_y_t, (e_o_{t+1} + S_{t+1})/e_y_t)`` from the share sequence."""
     scale = e_y[t + 1] / e_y[t]
@@ -376,56 +429,54 @@ def _scaled_next(shares: np.ndarray, e_y: np.ndarray, e_o: np.ndarray,
             (e_o[t + 1] + shares[t + 1] * e_y[t + 1]) / e_y[t])
 
 
-def _present_value(R: np.ndarray) -> np.ndarray:
+def _present_value(R: Sequence[float]) -> np.ndarray:
     """Date-0 prices ``q`` chained through the gross interest rates ``R``."""
-    q = np.empty(len(R))
-    q[0] = 1.0
-    for t in range(len(R) - 1):
-        q[t + 1] = q[t] / R[t]
-    return q
+    q = [1.0]
+    for rate in R[:-1]:
+        q.append(q[-1] / rate)
+    return np.array(q)
 
 
 def _assemble(params: EconomyParams, endowments: EndowmentPath,
-              terminal: TerminalKind, T: int, shares: np.ndarray,
-              e_y_full: np.ndarray, e_o_full: np.ndarray) -> EquilibriumPath:
+              terminal: TerminalKind, T: int, shares: list[float],
+              e_y_full: list[float], e_o_full: list[float]) -> EquilibriumPath:
     """Populate all per-date fields from the solved share sequence."""
     agg, housing = params.agg, params.housing
     n = T + 1
-    e_y = e_y_full[:n].copy()
-    e_o = e_o_full[:n].copy()
-    s = shares[:n].copy()
-    S = s * e_y
-    P = np.empty(n)
-    r = np.empty(n)
-    R = np.empty(n)
-    residuals = np.empty(n)
+    P: list[float] = []
+    r: list[float] = []
+    R: list[float] = []
+    residuals: list[float] = []
     for t in range(n):
-        ok = 0.0 < shares[t] < 1.0
-        if not ok:
-            raise HorizonError(f"expenditure share left (0, 1) at date {t}: {shares[t]!r}")
-        share_next_scaled, z_hat = _scaled_next(shares, e_y_full, e_o_full, t)
-        a, b, rent, cy_d, cz_d = _share_residual_terms(agg, housing, shares[t], share_next_scaled,
-                                                       z_hat, e_y_full[t])
-        residuals[t] = abs(a - b + rent) / max(a, b, rent)
+        share = shares[t]
+        if not 0.0 < share < 1.0:
+            raise HorizonError(f"expenditure share left (0, 1) at date {t}: {share!r}")
+        f = _equation(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t), e_y_full[t])
+        a, b, rent, cy_d, cz_d = f(share, terms=True)
+        residuals.append(abs(a - b + rent) / max(a, b, rent))
         # price and rent from their own first-order conditions; this avoids
         # the cancellation in S - r when the price is a sliver of S, and in
         # S - P when the rent is (the marginal utilities are scale free)
-        r[t] = (rent / cy_d) * e_y[t]
-        P[t] = shares[t + 1] * e_y_full[t + 1] * cz_d / cy_d
-        if not P[t] > 0.0:
+        r.append((rent / cy_d) * e_y_full[t])
+        S_next = shares[t + 1] * e_y_full[t + 1]
+        price = S_next * cz_d / cy_d
+        if not price > 0.0:
             raise HorizonError(
-                f"nonpositive house price at date {t}: P={P[t]!r}; "
+                f"nonpositive house price at date {t}: P={price!r}; "
                 "the horizon or terminal padding is too short"
             )
-        R[t] = shares[t + 1] * e_y_full[t + 1] / P[t]
-    q = _present_value(R)
-    c_y = e_y - S
-    c_o = e_o + S
+        P.append(price)
+        R.append(S_next / price)
+    e_y = np.array(e_y_full[:n])
+    e_o = np.array(e_o_full[:n])
+    s = np.array(shares[:n])
+    S = s * e_y
     return EquilibriumPath(
-        e_y=e_y, e_o=e_o, S=S, s=s, P=P, r=r, R=R, q=q,
-        c_y=c_y, c_o=c_o,
+        e_y=e_y, e_o=e_o, S=S, s=s, P=np.array(P), r=np.array(r), R=np.array(R),
+        q=_present_value(R),
+        c_y=e_y - S, c_o=e_o + S,
         belief_index=np.zeros(n, dtype=int),
-        residuals=residuals,
+        residuals=np.array(residuals),
         terminal_kind=terminal,
         endowments=endowments,
         balanced_from=endowments.balanced_from,
@@ -485,7 +536,7 @@ def solve_scenario(params: EconomyParams,
     e_y, e_o, S, s, P, r, c_y, c_o, residuals = map(
         pick, ("e_y", "e_o", "S", "s", "P", "r", "c_y", "c_o", "residuals"))
     R = np.append(S[1:] / P[:-1], paths[active[T]].R[T])
-    q = _present_value(R)
+    q = _present_value(R.tolist())
     return EquilibriumPath(
         e_y=e_y, e_o=e_o, S=S, s=s, P=P, r=r, R=R, q=q,
         c_y=c_y, c_o=c_o,

@@ -523,3 +523,27 @@ def test_tail_window_beyond_final_segment_rejected_before_solving(tmp_path, caps
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
     assert payload["field"] == "tail_window"
+
+
+def test_horizon_error_message_prints_plain_floats(tmp_path, capsys):
+    doc = dict(BASE, e1=94.0, e2=106.0, T=50, seed_pad=1)
+    code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "HorizonError"
+    assert "P=0.0;" in payload["message"]
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("doc,date", [
+    (dict(BASE, gamma=1.0, G=2.96, e1=100.0, e2=100.0, T=3000), 650),
+    (dict(FUND, T=8000), 7399),
+], ids=["gamma1-fast-growth", "fundamental-long"])
+def test_endowment_overflow_exits_with_one_json_error(tmp_path, capsys, doc, date):
+    code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    payload = json.loads(lines[0])
+    assert payload["error"] == "HorizonError"
+    assert f"at date {date} " in payload["message"]

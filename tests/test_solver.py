@@ -1,10 +1,19 @@
 """Tests for backward-induction path solving and belief scenarios."""
 import math
+import random
 
 import numpy as np
 import pytest
 
-from olghousing.errors import BranchError, DomainError, HorizonError, RegimeError
+from olghousing import roots, solver
+from olghousing.errors import (
+    BranchError,
+    DomainError,
+    HorizonError,
+    ModelError,
+    RegimeError,
+    SolverError,
+)
 from olghousing.preferences import CesAggregator, HousingUtility
 from olghousing.regimes import EconomyParams, bubbly_steady_state, credit_transform
 from olghousing.solver import (
@@ -121,6 +130,99 @@ def test_backward_step_consistent_with_solved_path():
         S = backward_step(BUB.housing, BUB.agg, path.S[t + 1],
                           path.e_y[t], path.e_o[t + 1])
         assert S == pytest.approx(path.S[t], rel=1e-12)
+
+
+# ---------------------------------------------------------------- share root bracket
+
+def reference_share_solve(agg, h, share_next_scaled, z_hat, e_y_t, rtol):
+    """The top-down bracket scan (``lo /= 8`` from ``_EDGE``) and its Brent root,
+    with the equilibrium equation written out term by term.
+
+    Returns ``(root, (lo, hi))``.
+    """
+    def f(u):
+        c, cy, cz = agg.value_partials(1.0 - u, z_hat)
+        rent = h.m * e_y_t ** (h.gamma - 1.0) * c ** h.gamma
+        return share_next_scaled * cz - u * cy + rent
+
+    lo, hi = solver._EDGE, 1.0 - solver._EDGE
+    while f(lo) <= 0.0:
+        lo /= 8.0
+        if lo < 1e-300:
+            raise SolverError("share root vanished below representable range")
+    while f(hi) >= 0.0:
+        gap = (1.0 - hi) / 8.0
+        if gap < 1e-17:
+            raise SolverError("share root pinned against full young income")
+        hi = 1.0 - gap
+    root = roots.brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, solver._MIN_RTOL), maxiter=300)
+    return root, (lo, hi)
+
+
+def warm_share_solve(monkeypatch, agg, h, share_next_scaled, z_hat, e_y_t, rtol):
+    """``solver._solve_share`` with the bracket it hands to Brent: ``(root, (lo, hi))``."""
+    brackets = []
+
+    def spy(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return roots.brentq(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(solver, "brentq", spy)
+    root = solver._solve_share(agg, h, share_next_scaled, z_hat, e_y_t, rtol)
+    assert len(brackets) == 1
+    return root, brackets[0]
+
+
+@pytest.mark.parametrize("gamma_range", [(0.1, 0.95), (1.0, 1.0), (1.05, 1.6)],
+                         ids=["below-one", "log", "above-one"])
+def test_warm_bracket_equals_top_down_scan(monkeypatch, gamma_range):
+    # young income up to 1e60 pushes the root as deep as the fundamental
+    # path does; a small rent level or a large old cash-in-hand (a small
+    # c_z/c_y) puts it below the guessed depth, a large rent level above it
+    rng = random.Random(int(100 * gamma_range[0]))
+    walks = {-1: 0, 0: 0, 1: 0}
+    for _ in range(100):
+        agg = CesAggregator(beta=rng.uniform(0.2, 0.8),
+                            sigma=1.0 if rng.random() < 0.3 else rng.uniform(0.4, 3.0))
+        h = HousingUtility(gamma=rng.uniform(*gamma_range), m=10.0 ** rng.uniform(-30.0, -0.4))
+        share_next_scaled = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-45.0, -0.2)
+        z_hat = share_next_scaled + 10.0 ** rng.uniform(-0.7, 6.0)
+        e_y_t = 10.0 ** rng.uniform(0.0, 60.0)
+        rtol = rng.choice((solver._MIN_RTOL, 1e-10))
+        args = (agg, h, share_next_scaled, z_hat, e_y_t, rtol)
+        try:
+            expected = reference_share_solve(*args)
+        except ModelError as exc:
+            with pytest.raises(type(exc)) as info:
+                warm_share_solve(monkeypatch, *args)
+            assert str(info.value) == str(exc)
+            continue
+        got = warm_share_solve(monkeypatch, *args)
+        assert type(got[0]) is float
+        assert got == expected
+        # the walk from the guessed depth covers both directions
+        guess = solver._bracket_depth(share_next_scaled)
+        depth = round(math.log2(solver._EDGE / got[1][0]) / 3)
+        walks[(depth > guess) - (depth < guess)] += 1
+    assert sum(walks.values()) >= 60 and walks[1] >= 5 and walks[-1] >= 5
+
+
+@pytest.mark.parametrize("share_next_scaled,z_hat", [(0.0, 1.0), (5e-324, 1.0), (1e-20, 1e290)],
+                         ids=["zero", "least-subnormal", "guess-far-above-root"])
+def test_warm_bracket_keeps_the_representable_floor(monkeypatch, share_next_scaled, z_hat):
+    # a root below 1e-300 fails the same way whether the scan starts at the
+    # top, at the deepest depth (the least subnormal's guess lies beyond it),
+    # or at a guess many depths above the root (a huge z_hat makes c_z/c_y,
+    # and with it the resale term, tiny)
+    agg = CesAggregator(beta=0.5, sigma=1.0)
+    h = HousingUtility(gamma=0.05, m=1e-20)
+    args = (agg, h, share_next_scaled, z_hat, 1e300, solver._MIN_RTOL)
+    with pytest.raises(SolverError) as expected:
+        reference_share_solve(*args)
+    with pytest.raises(SolverError) as got:
+        warm_share_solve(monkeypatch, *args)
+    assert str(got.value) == str(expected.value) == (
+        "share root vanished below representable range")
 
 
 # ---------------------------------------------------------------- solve_path
@@ -310,6 +412,69 @@ def test_credit_path_asymptotics():
     assert (np.abs(path.c_y[tail] - consumption_target[tail]) / path.c_y[tail]).max() < 1e-6
 
 
+FLOAT_PATHS = [
+    ("fundamental", FUND, TerminalKind.FUNDAMENTAL, 200),
+    ("bubbly", ASYM_BUB, TerminalKind.BUBBLY, 150),
+    ("gamma1", GAMMA1, TerminalKind.GAMMA1, 120),
+    ("gamma-above-1", GAMMA15, TerminalKind.GAMMA_ABOVE_1, 200),
+]
+
+
+@pytest.mark.parametrize("params,terminal,T", [c[1:] for c in FLOAT_PATHS],
+                         ids=[c[0] for c in FLOAT_PATHS])
+def test_backward_recursion_runs_on_builtin_floats(monkeypatch, params, terminal, T):
+    seen = {"ends": 0, "iterates": 0}
+
+    def strict(f, lo, hi, **kwargs):
+        assert type(lo) is float and type(hi) is float
+        seen["ends"] += 1
+
+        def checked(x):
+            assert type(x) is float
+            fx = f(x)
+            assert type(fx) is float
+            seen["iterates"] += 1
+            return fx
+
+        root = roots.brentq(checked, lo, hi, **kwargs)
+        assert type(root) is float
+        return root
+
+    monkeypatch.setattr(solver, "brentq", strict)
+    path = solve_path(params, None, terminal, T)
+    assert seen["ends"] >= T + 1 and seen["iterates"] > 2 * seen["ends"]
+    assert path.residuals.max() <= 1e-10
+
+
+@pytest.mark.parametrize("e1,e2", [(94.171854, 106.356152), (95.472963, 105.040207),
+                                   (96.343661, 104.249556)])
+def test_fundamental_path_needs_few_aggregator_calls(monkeypatch, e1, e2):
+    # the long-horizon fundamental configurations: the warm-started lower
+    # bracket saves about 13 of the 24 evaluations per date the top-down
+    # scan needed
+    params = make_params(e1=e1, e2=e2)
+    calls = [0]
+    original = CesAggregator.value_partials
+
+    def counted(agg, y, z):
+        calls[0] += 1
+        return original(agg, y, z)
+
+    monkeypatch.setattr(CesAggregator, "value_partials", counted)
+    T = 2000
+    solve_path(params, None, TerminalKind.FUNDAMENTAL, T)
+    assert calls[0] <= 12 * (T + 1)
+
+
+def test_error_messages_print_plain_floats():
+    params = make_params(e1=94.0, e2=106.0)
+    with pytest.raises(HorizonError) as info:
+        solve_path(params, None, TerminalKind.FUNDAMENTAL, 50, seed_pad=1)
+    message = str(info.value)
+    assert "at date 50" in message and "P=0.0;" in message
+    assert "np.float64" not in message
+
+
 def test_terminal_validation_errors():
     with pytest.raises(BranchError):
         solve_path(FUND, None, TerminalKind.GAMMA1, 50)
@@ -362,6 +527,20 @@ def test_endowment_validation_errors():
         Segment(0, -1.0, 105.0, 1.1)
     with pytest.raises(DomainError):
         Segment(-3, 95.0, 105.0, 1.1)
+
+
+@pytest.mark.parametrize("segment,date", [
+    (Segment(0, 100.0, 100.0, 2.96), 650),     # G**t itself overflows
+    (Segment(0, 95.0, 105.0, 1.1), 7399),      # e2 * G**t overflows before e1 * G**t
+    (Segment(0, 1e300, 1.0, 1.1), 200),        # G**t is finite, the level is not
+], ids=["power", "old-level-first", "level"])
+def test_endowment_overflow_is_a_horizon_error(segment, date):
+    path = EndowmentPath((segment,), 10)
+    with pytest.raises(HorizonError, match=f"not finite at date {date} "):
+        for t in range(10_000):
+            path.young(t)
+            path.old(t)
+    assert math.isfinite(path.young(date - 1)) and math.isfinite(path.old(date - 1))
 
 
 # ---------------------------------------------------------------- scenarios
