@@ -40,10 +40,10 @@ class Aggregator:
         """First partial derivatives (c_y, c_z), both positive."""
         raise NotImplementedError
 
-    def value_partials(self, y: float, z: float) -> tuple[float, float, float]:
-        """``(c, c_y, c_z)`` at one point; override to share the work."""
+    def value_partials(self, y: float, z: float) -> tuple[float, float, float, float]:
+        """``(c, c_y, c_z, c_yz)`` at one point; override to share the work."""
         cy, cz = self.partials(y, z)
-        return self.value(y, z), cy, cz
+        return self.value(y, z), cy, cz, self.second_partials(y, z)[1]
 
     def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
         """Second partial derivatives (c_yy, c_yz, c_zz), signs (-, +, -)."""
@@ -94,29 +94,37 @@ class CesAggregator(Aggregator):
         if self.sigma == 1.0:
             return y ** (1.0 - self.beta) * z ** self.beta
         e = 1.0 - self.sigma
-        # log-sum-exp with max factoring keeps the power sum in range for
-        # extreme sigma or widely scaled inputs
-        ly = e * math.log(y)
-        lz = e * math.log(z)
-        top = max(ly, lz)
-        inner = (1.0 - self.beta) * math.exp(ly - top) + self.beta * math.exp(lz - top)
-        return math.exp((top + math.log(inner)) / e)
+        # factor out the point whose power (y^e or z^e) is larger, so the
+        # other enters through delta <= 0 and nothing overflows
+        ratio = z / y
+        lr = math.log(ratio) if 0.0 < ratio < math.inf else math.log(z) - math.log(y)
+        if e * lr <= 0.0:
+            top, weight, delta = y, self.beta, e * lr
+        else:
+            top, weight, delta = z, 1.0 - self.beta, -e * lr
+        # log((1 - weight) + weight*e^delta): expm1 and log1p keep a small
+        # delta's relative precision (summing the powers first loses a factor
+        # 1/|1 - sigma| of it near sigma = 1); the plain sum avoids the
+        # cancellation in 1 + weight*expm1(delta) once e^delta is small
+        if delta > -1.0:
+            log_inner = math.log1p(weight * math.expm1(delta))
+        else:
+            log_inner = math.log((1.0 - weight) + weight * math.exp(delta))
+        return top * math.exp(log_inner / e)
 
     def partials(self, y: float, z: float) -> tuple[float, float]:
-        return self.value_partials(y, z)[1:]
+        return self.value_partials(y, z)[1:3]
 
-    def value_partials(self, y: float, z: float) -> tuple[float, float, float]:
+    def value_partials(self, y: float, z: float) -> tuple[float, float, float, float]:
         c = self.value(y, z)
         cy = (1.0 - self.beta) * (y / c) ** (-self.sigma)
         cz = self.beta * (z / c) ** (-self.sigma)
-        return c, cy, cz
+        # cross partial from the CES curvature identity c_yz = sigma c_y c_z / c
+        return c, cy, cz, self.sigma * cy * cz / c
 
     def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
-        # cross partial from the CES curvature identity c_yz = sigma c_y c_z / c;
-        # the rest follow from degree-zero homogeneity of the first partials
-        c = self.value(y, z)
-        cy, cz = self.partials(y, z)
-        cyz = self.sigma * cy * cz / c
+        # the own partials follow from degree-zero homogeneity of the first partials
+        cyz = self.value_partials(y, z)[3]
         cyy = -(z / y) * cyz
         czz = -(y / z) * cyz
         return cyy, cyz, czz

@@ -372,7 +372,7 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
     m = params.housing.m
 
     def foc(s: float) -> float:
-        c, cy, cz = agg.value_partials(1.0 - s, G * (w + s))
+        c, cy, cz, _ = agg.value_partials(1.0 - s, G * (w + s))
         return (G * cz - cy) / c + m / s
 
     lo, hi = 1e-12, 1.0 - 1e-12

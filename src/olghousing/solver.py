@@ -33,7 +33,7 @@ from .regimes import (
     fundamental_steady_state,
     gamma1_steady_state,
 )
-from .roots import brentq
+from .roots import newton
 
 __all__ = [
     "Segment",
@@ -48,16 +48,19 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# interior margin for the share bracket, relative to young income
-_EDGE = 1e-14
-# floor on the relative tolerance of the share root solve: about 4 ulp,
-# below which Brent's stopping test may never be met
+# floor on the relative tolerance of the share root solve: about 4 ulp
 _MIN_RTOL = 9e-16
-_LOG_EDGE = math.log(_EDGE)
-_LOG_8 = math.log(8.0)
-# deepest k whose lower share bracket _EDGE/8**k stays at or above the
-# 1e-300 floor below which the root counts as unrepresentable
-_MAX_DEPTH = next(k for k in range(2000) if math.ldexp(_EDGE, -3 * (k + 1)) < 1e-300)
+# a share root below this counts as unrepresentable
+_TINY_SHARE = 1e-300
+# the share root is sought in x = log u (gamma <= 1) or x = log(1 - u)
+# (gamma > 1, where the young's own consumption share 1 - u is what
+# shrinks); the search stops at these floors, just past where u falls below
+# _TINY_SHARE and where 1 - e^x rounds to 1
+_FLOOR_LOG_U = math.log(_TINY_SHARE) - 1.0
+_FLOOR_LOG_Y = math.log(2.0 ** -55)
+# iteration cap of one share root: above the ~330 ln 8 steps that cross the
+# whole log u range, so only a failure to converge reaches it
+_MAX_NEWTON = 400
 
 
 @dataclass(frozen=True)
@@ -234,68 +237,82 @@ def _equation(agg: Aggregator, housing: HousingUtility,
 
     ``share_next_scaled`` is S_{t+1}/e_y_t and ``z_hat`` is next-period old
     cash-in-hand (e_o_{t+1} + S_{t+1})/e_y_t, both in units of young income.
-    The equation balances ``share_next_scaled*c_z + rent`` against ``u*c_y``;
-    the returned function gives the residual ``(share_next_scaled*c_z -
-    u*c_y) + rent`` or, with ``terms=True``, its three terms followed by the
-    aggregator partials ``(c_y, c_z)`` they were built from.
+    The equation balances ``share_next_scaled*c_z + rent`` against ``u*c_y``
+    at young consumption ``y = 1 - u`` (passed separately, so a caller that
+    tracks y keeps its precision). The returned function gives the terms
+    ``(resale, spent, rent)`` of the residual ``(resale - spent) + rent``,
+    its derivative in u, and the partials ``(c_y, c_z)``, all from one
+    aggregator call.
     """
     gamma = housing.gamma
     rent_scale = housing.m * e_y_t ** (gamma - 1.0)
     value_partials = agg.value_partials
 
-    def residual(u: float, terms: bool = False):
-        c, cy, cz = value_partials(1.0 - u, z_hat)
+    def terms(u: float, y: float):
+        c, cy, cz, cyz = value_partials(y, z_hat)
         resale, spent, rent = share_next_scaled * cz, u * cy, rent_scale * c ** gamma
-        if terms:
-            return resale, spent, rent, cy, cz
-        return resale - spent + rent
+        # c_yy = -(z/y) c_yz by homogeneity
+        slope = -share_next_scaled * cyz - cy - u * (z_hat / y) * cyz - gamma * rent * cy / c
+        return resale, spent, rent, slope, cy, cz
 
-    return residual
-
-
-def _bracket_depth(share_next_scaled: float) -> int:
-    """First guess of the depth k at which ``_EDGE/8**k`` lies below the root.
-
-    Along the fundamental path the share falls by a bounded factor per date,
-    so today's root sits within a factor of a few of ``share_next_scaled``.
-    """
-    if not 0.0 < share_next_scaled < _EDGE:
-        return 0
-    k = int((_LOG_EDGE - math.log(share_next_scaled)) / _LOG_8)
-    return min(max(k, 0), _MAX_DEPTH)
+    return terms
 
 
 def _solve_share(agg: Aggregator, housing: HousingUtility,
-                 share_next_scaled: float, z_hat: float, e_y_t: float,
-                 rtol: float) -> float:
-    """Root of the equilibrium equation for the current expenditure share."""
-    f = _equation(agg, housing, share_next_scaled, z_hat, e_y_t)
-    # f is strictly decreasing with f(0+) > 0 and f(1-) = -inf; the lower
-    # bracket is the shallowest _EDGE/8**k with f > 0, found by walking from
-    # a guessed depth (ldexp by -3k equals k exact divisions by 8)
-    k = _bracket_depth(share_next_scaled)
-    lo = math.ldexp(_EDGE, -3 * k)
-    if f(lo) > 0.0:
-        while k > 0:
-            up = math.ldexp(_EDGE, -3 * (k - 1))
-            if f(up) <= 0.0:
-                break
-            k, lo = k - 1, up
-    else:
-        while True:
-            k += 1
-            lo = math.ldexp(_EDGE, -3 * k)
-            if lo < 1e-300:
-                raise SolverError("share root vanished below representable range")
-            if f(lo) > 0.0:
-                break
-    hi = 1.0 - _EDGE
-    while f(hi) >= 0.0:
-        gap = (1.0 - hi) / 8.0
-        if gap < 1e-17:
+                 share_next_scaled: float, z_hat: float, e_y_t: float, rtol: float,
+                 near: float | None = None, step: float = 0.0) -> tuple[float, float, int, int]:
+    """Root of the equilibrium equation for the current expenditure share.
+
+    Safeguarded Newton (``roots.newton``) in ``x = log w``, where ``w`` is
+    the share u for gamma <= 1 and the young's own consumption share 1 - u
+    for gamma > 1 (the one that shrinks there). x is measured from ``near``,
+    the w of a neighbouring date's root, so every iterate's w is as precise
+    as a float allows, and the iteration starts ``step`` away from it.
+    Without ``near`` it starts at ``u = g/(1 + g)``, with
+    ``g = (share_next_scaled*c_z + rent)/c_y`` at ``y = 1``, which costs one
+    aggregator evaluation.
+
+    Returns ``(u, w, aggregator evaluations, safeguard steps)``.
+    """
+    terms = _equation(agg, housing, share_next_scaled, z_hat, e_y_t)
+    upper = housing.gamma > 1.0
+    cold = near is None
+    if cold:
+        resale, _, rent, _, cy, _ = terms(0.0, 1.0)
+        g = (resale + rent) / cy
+        near, step = max((1.0 if upper else g) / (1.0 + g), _TINY_SHARE), 0.0
+
+    def point(d: float) -> tuple[float, float]:
+        w = near * math.exp(d)
+        if upper:
+            return 1.0 - w, w
+        if w >= 1.0:
             raise SolverError("share root pinned against full young income")
-        hi = 1.0 - gap
-    return brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, _MIN_RTOL), maxiter=300)
+        return w, 1.0 - w
+
+    def f(d: float) -> tuple[float, float, float]:
+        # decreasing in d: the residual itself when w = u, its negative when w = 1 - u
+        u, y = point(d)
+        resale, spent, rent, slope, _, _ = terms(u, y)
+        if upper:
+            return spent - resale - rent, slope * y, max(resale, spent, rent)
+        return resale - spent + rent, slope * u, max(resale, spent, rent)
+
+    x = math.log(near)
+    lo, hi = (_FLOOR_LOG_Y if upper else _FLOOR_LOG_U) - x, -x
+    d, dx, evaluations, safeguards = newton(f, min(max(step, lo), 0.5 * hi), lo, hi,
+                                            max(rtol, _MIN_RTOL), _MAX_NEWTON)
+    # the final correction moves the last evaluated point's w by the factor
+    # e^dx; applied to w and u directly, it is not rounded away
+    u, y = point(d)
+    w = y if upper else u
+    shift = w * math.expm1(dx)
+    u, w = (u - shift, w + shift) if upper else (u + shift, u + shift)
+    if u >= 1.0:
+        raise SolverError("share root pinned against full young income")
+    if u < _TINY_SHARE:
+        raise SolverError("share root vanished below representable range")
+    return u, w, evaluations + cold, safeguards
 
 
 def backward_step(housing: HousingUtility, agg: Aggregator,
@@ -320,7 +337,7 @@ def backward_step(housing: HousingUtility, agg: Aggregator,
         (e_o_next + S_next) / e_y_t,
         e_y_t,
         rtol,
-    )
+    )[0]
     return share * e_y_t
 
 
@@ -414,9 +431,29 @@ def solve_path(params: EconomyParams,
 
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
+    # each date starts from the next date's root, stepped on by the change
+    # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
+    # linear extrapolation; a zero seed leaves the first date to the cold start
+    near = None
+    if seed_share > 0.0:
+        near = 1.0 - shares[t_seed] if housing.gamma > 1.0 else shares[t_seed]
+    step = 0.0
+    evaluations = worst = safeguards = 0
     for t in range(t_seed - 1, -1, -1):
-        shares[t] = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
-                                 e_y[t], rtol)
+        shares[t], w, n, k = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
+                                          e_y[t], rtol, near, step)
+        if near is not None:
+            step = math.log(w / near)
+        near = w
+        evaluations += n
+        safeguards += k
+        if n > worst:
+            worst = n
+    log.debug(
+        "solve_path: %d aggregator evaluations over %d dates (at most %d on one date), "
+        "%d safeguard steps",
+        evaluations, t_seed, worst, safeguards,
+    )
 
     return _assemble(params, endowments, terminal, T, shares, e_y, e_o)
 
@@ -451,8 +488,9 @@ def _assemble(params: EconomyParams, endowments: EndowmentPath,
         share = shares[t]
         if not 0.0 < share < 1.0:
             raise HorizonError(f"expenditure share left (0, 1) at date {t}: {share!r}")
-        f = _equation(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t), e_y_full[t])
-        a, b, rent, cy_d, cz_d = f(share, terms=True)
+        terms = _equation(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t),
+                          e_y_full[t])
+        a, b, rent, _, cy_d, cz_d = terms(share, 1.0 - share)
         residuals.append(abs(a - b + rent) / max(a, b, rent))
         # price and rent from their own first-order conditions; this avoids
         # the cancellation in S - r when the price is a sliver of S, and in

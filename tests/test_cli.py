@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import olghousing
 from olghousing.cli import PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig, main
@@ -547,3 +549,58 @@ def test_endowment_overflow_exits_with_one_json_error(tmp_path, capsys, doc, dat
     payload = json.loads(lines[0])
     assert payload["error"] == "HorizonError"
     assert f"at date {date} " in payload["message"]
+
+
+# ---------------------------------------------------------------- error contract fuzz
+
+def _economy_configs():
+    finite = dict(allow_nan=False, allow_infinity=False)
+    return st.fixed_dictionaries(
+        {
+            "beta": st.floats(0.05, 0.95, **finite),
+            "sigma": st.one_of(st.just(1.0), st.floats(0.2, 5.0, **finite)),
+            "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **finite)),
+            "m": st.floats(1e-3, 1.0, **finite),
+            "G": st.floats(1.01, 1.5, **finite),
+            "e1": st.floats(10.0, 200.0, **finite),
+            "e2": st.floats(10.0, 200.0, **finite),
+            "T": st.integers(1, 300),
+        },
+        optional={
+            "terminal": st.sampled_from(["Fundamental", "Bubbly", "Gamma1", "GammaAbove1"]),
+            "tol": st.floats(1e-15, 1e-6, **finite),
+            "seed_pad": st.integers(1, 400),
+            "lambda": st.floats(0.0, 0.6, **finite),
+            "tail_window": st.integers(2, 40),
+        },
+    )
+
+
+@st.composite
+def _runs(draw):
+    command = draw(st.sampled_from(["solve", "regimes", "credit"]))
+    doc = draw(_economy_configs())
+    if command == "credit":
+        # the credit economy is defined for gamma < 1 and infers its terminal
+        doc.pop("terminal", None)
+        doc["gamma"] = draw(st.floats(0.1, 0.95, allow_nan=False))
+        doc["lambda"] = draw(st.floats(0.0, 0.6, allow_nan=False))
+    return command, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_runs())
+def test_main_keeps_the_error_contract_on_any_config(tmp_path, capsys, run):
+    command, doc = run
+    # exit 0 with output, or exit 2 with exactly one JSON object on stderr;
+    # any other exception would escape main() as a traceback
+    code, out, err = run_main(capsys, [command, "--config", write_config(tmp_path, doc)])
+    if code == 0:
+        assert out and err == ""
+        return
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert set(payload) == {"error", "field", "message"}

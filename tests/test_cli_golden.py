@@ -107,12 +107,12 @@ GOLDEN = {
         None,
     ),
     "solve-json": (0,
-        "e502f8028614935be8b595336400561c4e553b3dbe9ea32baf2c99f8ba16f2c0",
+        "262137f96a8b89d1f3342bf975d7e462c967ce1038de71cbc46f501fcade8b51",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "solve-out": (0,
-        "8aa5499d088d0ff24f67201ed41c54b09905c26a7fccddf1a4a2c85a05e80293",
+        "a5e85fffa96866452bddc7b1435acc5f746f6f829d35c05114c47fc81ee7f6c5",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "416546fdc767bcaa33edbfd43c8244df48ab7cf2bafcc01965cd72ad8a27fbad",
     ),
@@ -122,12 +122,12 @@ GOLDEN = {
         None,
     ),
     "solve-gamma1": (0,
-        "23ccf18ee617076d230af263a837bcb5be621938236a040be5382f763779cccc",
+        "2c521394693e9de079b21ea03db6783f6a81672d890ac91f92e4e4532d450e35",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "solve-gamma-above-1": (0,
-        "d290a288bfe4c97586d492db232a578dc2cee86a22f2ea6869f2e1f28f00aed6",
+        "8e12e5fdc85bb5d7c99e8bb2c0005ad30754ea9ebdc52b78866aebbc7438a93e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
@@ -137,12 +137,12 @@ GOLDEN = {
         None,
     ),
     "scenario-json": (0,
-        "301f712cd162e1720f0b2432d71a825106c0e117955ffa80bf997b9df31e95d6",
+        "4e6734476dc14adfd32068062495a5db34e069ff6525adeced5af6cb86592a00",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "scenario-out": (0,
-        "b61da5782a263a7f0eb4d77a94d9891d6ac82e3c89eca8bc780bd0ee98c9bf71",
+        "d4039d0329f1a7bb038aa680d342655b11141c23c4e5c92fbac85630907fc455",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
     ),
@@ -152,12 +152,12 @@ GOLDEN = {
         None,
     ),
     "credit-json": (0,
-        "7d184127c5abf40be1522320dc14d2108522450b7e17276faf0d9fdffba9bee2",
+        "c7e41df7de6008cc2f63299a5cded62b95a08a691bb79f833d31c89e48d7f719",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "credit-out": (0,
-        "f0bb47dc2d964fe24ddfb92bfe0403972a625e1858a46b0080620fd2b7e29a8a",
+        "f834bab1478ef89b4c3c1850fdba274d683075a47dec8bd12a987d86bc16f951",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
     ),

@@ -110,9 +110,10 @@ def test_value_partials_is_value_and_partials(beta, sigma):
     class Delegating(Aggregator):
         value = agg.value
         partials = agg.partials
+        second_partials = agg.second_partials
 
     for y, z in _random_grid():
-        expected = (agg.value(y, z), *agg.partials(y, z))
+        expected = (agg.value(y, z), *agg.partials(y, z), agg.second_partials(y, z)[1])
         assert agg.value_partials(y, z) == expected
         assert Delegating().value_partials(y, z) == expected
 

@@ -1,16 +1,16 @@
 """Tests for backward-induction path solving and belief scenarios."""
+import logging
 import math
-import random
+import re
 
 import numpy as np
 import pytest
 
-from olghousing import roots, solver
+from olghousing import solver
 from olghousing.errors import (
     BranchError,
     DomainError,
     HorizonError,
-    ModelError,
     RegimeError,
     SolverError,
 )
@@ -25,6 +25,7 @@ from olghousing.solver import (
     solve_path,
     solve_scenario,
 )
+from oracles import brent_share_root
 
 # Frozen values computed by an independent high-precision fixed-point solve
 # of the one-step equilibrium equation.
@@ -132,97 +133,31 @@ def test_backward_step_consistent_with_solved_path():
         assert S == pytest.approx(path.S[t], rel=1e-12)
 
 
-# ---------------------------------------------------------------- share root bracket
-
-def reference_share_solve(agg, h, share_next_scaled, z_hat, e_y_t, rtol):
-    """The top-down bracket scan (``lo /= 8`` from ``_EDGE``) and its Brent root,
-    with the equilibrium equation written out term by term.
-
-    Returns ``(root, (lo, hi))``.
-    """
-    def f(u):
-        c, cy, cz = agg.value_partials(1.0 - u, z_hat)
-        rent = h.m * e_y_t ** (h.gamma - 1.0) * c ** h.gamma
-        return share_next_scaled * cz - u * cy + rent
-
-    lo, hi = solver._EDGE, 1.0 - solver._EDGE
-    while f(lo) <= 0.0:
-        lo /= 8.0
-        if lo < 1e-300:
-            raise SolverError("share root vanished below representable range")
-    while f(hi) >= 0.0:
-        gap = (1.0 - hi) / 8.0
-        if gap < 1e-17:
-            raise SolverError("share root pinned against full young income")
-        hi = 1.0 - gap
-    root = roots.brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, solver._MIN_RTOL), maxiter=300)
-    return root, (lo, hi)
-
-
-def warm_share_solve(monkeypatch, agg, h, share_next_scaled, z_hat, e_y_t, rtol):
-    """``solver._solve_share`` with the bracket it hands to Brent: ``(root, (lo, hi))``."""
-    brackets = []
-
-    def spy(f, lo, hi, **kwargs):
-        brackets.append((lo, hi))
-        return roots.brentq(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(solver, "brentq", spy)
-    root = solver._solve_share(agg, h, share_next_scaled, z_hat, e_y_t, rtol)
-    assert len(brackets) == 1
-    return root, brackets[0]
-
-
-@pytest.mark.parametrize("gamma_range", [(0.1, 0.95), (1.0, 1.0), (1.05, 1.6)],
-                         ids=["below-one", "log", "above-one"])
-def test_warm_bracket_equals_top_down_scan(monkeypatch, gamma_range):
-    # young income up to 1e60 pushes the root as deep as the fundamental
-    # path does; a small rent level or a large old cash-in-hand (a small
-    # c_z/c_y) puts it below the guessed depth, a large rent level above it
-    rng = random.Random(int(100 * gamma_range[0]))
-    walks = {-1: 0, 0: 0, 1: 0}
-    for _ in range(100):
-        agg = CesAggregator(beta=rng.uniform(0.2, 0.8),
-                            sigma=1.0 if rng.random() < 0.3 else rng.uniform(0.4, 3.0))
-        h = HousingUtility(gamma=rng.uniform(*gamma_range), m=10.0 ** rng.uniform(-30.0, -0.4))
-        share_next_scaled = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-45.0, -0.2)
-        z_hat = share_next_scaled + 10.0 ** rng.uniform(-0.7, 6.0)
-        e_y_t = 10.0 ** rng.uniform(0.0, 60.0)
-        rtol = rng.choice((solver._MIN_RTOL, 1e-10))
-        args = (agg, h, share_next_scaled, z_hat, e_y_t, rtol)
-        try:
-            expected = reference_share_solve(*args)
-        except ModelError as exc:
-            with pytest.raises(type(exc)) as info:
-                warm_share_solve(monkeypatch, *args)
-            assert str(info.value) == str(exc)
-            continue
-        got = warm_share_solve(monkeypatch, *args)
-        assert type(got[0]) is float
-        assert got == expected
-        # the walk from the guessed depth covers both directions
-        guess = solver._bracket_depth(share_next_scaled)
-        depth = round(math.log2(solver._EDGE / got[1][0]) / 3)
-        walks[(depth > guess) - (depth < guess)] += 1
-    assert sum(walks.values()) >= 60 and walks[1] >= 5 and walks[-1] >= 5
-
+# ---------------------------------------------------------------- share root
 
 @pytest.mark.parametrize("share_next_scaled,z_hat", [(0.0, 1.0), (5e-324, 1.0), (1e-20, 1e290)],
                          ids=["zero", "least-subnormal", "guess-far-above-root"])
-def test_warm_bracket_keeps_the_representable_floor(monkeypatch, share_next_scaled, z_hat):
-    # a root below 1e-300 fails the same way whether the scan starts at the
-    # top, at the deepest depth (the least subnormal's guess lies beyond it),
-    # or at a guess many depths above the root (a huge z_hat makes c_z/c_y,
-    # and with it the resale term, tiny)
+def test_warm_bracket_keeps_the_representable_floor(share_next_scaled, z_hat):
+    # a root below 1e-300 fails the same way for the bracketing scan and for
+    # Newton, whether the cold start lies near the root or many decades above
+    # it (a huge z_hat makes c_z/c_y, and with it the resale term, tiny)
     agg = CesAggregator(beta=0.5, sigma=1.0)
     h = HousingUtility(gamma=0.05, m=1e-20)
     args = (agg, h, share_next_scaled, z_hat, 1e300, solver._MIN_RTOL)
     with pytest.raises(SolverError) as expected:
-        reference_share_solve(*args)
+        brent_share_root(*args)
     with pytest.raises(SolverError) as got:
-        warm_share_solve(monkeypatch, *args)
+        solver._solve_share(*args)
     assert str(got.value) == str(expected.value) == (
         "share root vanished below representable range")
+
+
+def test_share_root_pinned_against_full_young_income():
+    # gamma = 1.5 with young income 1e80 puts the root at 1 - u ~ 1e-31,
+    # where 1 - u rounds to 1 (the test above covers the other end)
+    with pytest.raises(SolverError, match="^share root pinned against full young income$"):
+        solver._solve_share(CesAggregator(0.5, 1.0), HousingUtility(1.5, 0.1),
+                            0.5, 1.0, 1e80, solver._MIN_RTOL)
 
 
 # ---------------------------------------------------------------- solve_path
@@ -243,8 +178,8 @@ def solved(request):
 
 
 def test_path_residuals_small(solved):
-    _, path = solved
-    assert path.residuals.max() <= 1e-10
+    params, path = solved
+    assert path.residuals.max() <= (1e-15 if params.housing.gamma <= 1.0 else 1e-10)
 
 
 def test_path_interior_and_positive(solved):
@@ -423,36 +358,23 @@ FLOAT_PATHS = [
 @pytest.mark.parametrize("params,terminal,T", [c[1:] for c in FLOAT_PATHS],
                          ids=[c[0] for c in FLOAT_PATHS])
 def test_backward_recursion_runs_on_builtin_floats(monkeypatch, params, terminal, T):
-    seen = {"ends": 0, "iterates": 0}
+    seen = {"calls": 0}
+    original = CesAggregator.value_partials
 
-    def strict(f, lo, hi, **kwargs):
-        assert type(lo) is float and type(hi) is float
-        seen["ends"] += 1
+    def strict(agg, y, z):
+        assert type(y) is float and type(z) is float
+        out = original(agg, y, z)
+        assert all(type(v) is float for v in out)
+        seen["calls"] += 1
+        return out
 
-        def checked(x):
-            assert type(x) is float
-            fx = f(x)
-            assert type(fx) is float
-            seen["iterates"] += 1
-            return fx
-
-        root = roots.brentq(checked, lo, hi, **kwargs)
-        assert type(root) is float
-        return root
-
-    monkeypatch.setattr(solver, "brentq", strict)
+    monkeypatch.setattr(CesAggregator, "value_partials", strict)
     path = solve_path(params, None, terminal, T)
-    assert seen["ends"] >= T + 1 and seen["iterates"] > 2 * seen["ends"]
+    assert seen["calls"] > 2 * (T + 1)
     assert path.residuals.max() <= 1e-10
 
 
-@pytest.mark.parametrize("e1,e2", [(94.171854, 106.356152), (95.472963, 105.040207),
-                                   (96.343661, 104.249556)])
-def test_fundamental_path_needs_few_aggregator_calls(monkeypatch, e1, e2):
-    # the long-horizon fundamental configurations: the warm-started lower
-    # bracket saves about 13 of the 24 evaluations per date the top-down
-    # scan needed
-    params = make_params(e1=e1, e2=e2)
+def count_aggregator_calls(monkeypatch):
     calls = [0]
     original = CesAggregator.value_partials
 
@@ -461,9 +383,52 @@ def test_fundamental_path_needs_few_aggregator_calls(monkeypatch, e1, e2):
         return original(agg, y, z)
 
     monkeypatch.setattr(CesAggregator, "value_partials", counted)
+    return calls
+
+
+@pytest.mark.parametrize("e1,e2", [(94.171854, 106.356152), (95.472963, 105.040207),
+                                   (96.343661, 104.249556)])
+def test_fundamental_path_needs_few_aggregator_calls(monkeypatch, e1, e2):
+    # the long-horizon fundamental configurations: Newton started from the
+    # neighbouring dates needs about 1.5 evaluations per solved date, where
+    # the bracket scan and Brent needed 10.7
+    params = make_params(e1=e1, e2=e2)
+    calls = count_aggregator_calls(monkeypatch)
     T = 2000
     solve_path(params, None, TerminalKind.FUNDAMENTAL, T)
-    assert calls[0] <= 12 * (T + 1)
+    assert calls[0] <= 3 * (T + 1)
+
+
+@pytest.mark.parametrize("gamma,e1,e2,terminal,T,per_date", [
+    (0.5, 106.387036, 93.721941, TerminalKind.BUBBLY, 2000, 3),
+    (1.0, 98.633422, 99.525968, TerminalKind.GAMMA1, 2000, 3),
+    (1.2, 99.710841, 99.506247, TerminalKind.GAMMA_ABOVE_1, 600, 5),
+], ids=["bubbly", "gamma1", "gamma-above-1"])
+def test_paths_need_few_aggregator_calls(monkeypatch, gamma, e1, e2, terminal, T, per_date):
+    # long-horizon configurations of the other terminals, counted per
+    # returned date with the terminal padding and the assembly included
+    # (13.2, 12.9 and 25.9 with the bracket scan and Brent, whose gamma > 1
+    # residual reached 2.8e-12 here)
+    params = make_params(gamma=gamma, e1=e1, e2=e2)
+    calls = count_aggregator_calls(monkeypatch)
+    path = solve_path(params, None, terminal, T)
+    assert calls[0] <= per_date * (T + 1)
+    assert path.residuals.max() <= (1e-15 if gamma <= 1.0 else 2e-12)
+
+
+def test_solve_path_logs_its_root_finding_effort(caplog):
+    caplog.set_level(logging.DEBUG, logger="olghousing.solver")
+    T = 200
+    solve_path(BUB, None, TerminalKind.BUBBLY, T)
+    lines = [r.getMessage() for r in caplog.records
+             if "aggregator evaluations" in r.getMessage()]
+    assert len(lines) == 1
+    match = re.fullmatch(r"solve_path: (\d+) aggregator evaluations over (\d+) dates "
+                         r"\(at most (\d+) on one date\), (\d+) safeguard steps", lines[0])
+    assert match, lines[0]
+    total, dates, worst, safeguards = map(int, match.groups())
+    assert dates > T and dates <= total <= 3 * dates
+    assert 1 <= worst <= 10 and safeguards >= 0
 
 
 def test_error_messages_print_plain_floats():
