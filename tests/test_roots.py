@@ -1,143 +1,31 @@
-"""The in-package root finders: Brent and safeguarded Newton.
+"""The package's root finder, safeguarded Newton, against independent oracles.
 
-``scipy.optimize.brentq`` is an independent oracle here: the Brent kernel
-ports its C loop operation for operation, so on every bracketed problem both
-must return the same float after the same number of function evaluations.
-The solver's Newton roots are checked against scipy's Brent roots of the
-same equation, and against 50-digit roots computed with mpmath.
+The solver's per-date share roots are checked against scipy's Brent roots
+of the same equation and against 50-digit roots computed with mpmath; the
+gamma = 1 steady-state share against its 50-digit root.
 """
 import math
 import random
 
+import mpmath
 import pytest
-from scipy.optimize import brentq as scipy_brentq
 
-from olghousing import regimes, roots, solver
+from olghousing import roots, solver
 from olghousing.errors import ModelError, SolverError
 from olghousing.preferences import CesAggregator, HousingUtility
 from olghousing.regimes import EconomyParams, gamma1_steady_state
 from olghousing.solver import solve_path
-from oracles import brent_share_root, coordinate_error, mp_share_root, ulp_in_coordinate
+from oracles import (brent_share_root, coordinate_error, mp_gamma1_share, mp_share_root,
+                     ulp_in_coordinate)
 
-EPS4 = 4 * 2.220446049250313e-16
-
-
-class Counted:
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.f(x)
-
-
-def agree_with_scipy(f, a, b, xtol, rtol, maxiter):
-    """Both solvers on one problem; asserts equal roots and call counts."""
-    ours, theirs = Counted(f), Counted(f)
-    x = roots.brentq(ours, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    y = scipy_brentq(theirs, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    assert x == y, (x, y, a, b, xtol, rtol)
-    assert ours.calls == theirs.calls
-    return x
-
-
-class Oracle:
-    """Stand-in for a module's ``brentq`` that checks each call against scipy."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, f, a, b, xtol, rtol, maxiter):
-        self.calls += 1
-        return agree_with_scipy(f, a, b, xtol, rtol, maxiter)
-
-
-# ---------------------------------------------------------------- failures
-
-def test_nan_at_a_bracket_end_is_a_solver_error():
-    with pytest.raises(SolverError, match="NaN at x=0.0"):
-        roots.brentq(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0, 1e-12, EPS4, 100)
-
-
-def test_nan_at_an_iterate_is_a_solver_error():
-    def f(x):
-        return x - 0.3 if x in (0.0, 1.0) else math.nan
-
-    with pytest.raises(SolverError, match=r"NaN at x=0\.[1-9]"):
-        roots.brentq(f, 0.0, 1.0, 1e-12, EPS4, 100)
-
-
-def test_unbracketed_root_is_a_solver_error():
-    with pytest.raises(SolverError, match="do not bracket a root"):
-        roots.brentq(lambda x: x + 1.0, 0.0, 1.0, 1e-12, EPS4, 100)
-
-
-def test_no_convergence_is_a_solver_error():
-    with pytest.raises(SolverError, match="no convergence after 3 iterations"):
-        roots.brentq(lambda x: math.exp(x) - 2.0, 0.0, 10.0, 1e-300, EPS4, 3)
+EPS = 2.220446049250313e-16
 
 
 def test_solver_errors_belong_to_the_model_error_contract():
     assert issubclass(SolverError, ModelError)
 
 
-def test_exact_zero_at_a_bracket_end_is_returned():
-    assert roots.brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, EPS4, 100) == 1.0
-    assert roots.brentq(lambda x: x, 0.0, 1.0, 1e-12, EPS4, 100) == 0.0
-
-
-# ---------------------------------------------------------------- scipy oracle
-
-def _random_problem(rng: random.Random):
-    """A smooth function with one root in a bracket, and solver settings."""
-    place = rng.choice(("interior", "near 0", "near 1"))
-    if place == "interior":
-        r = rng.uniform(0.01, 0.99)
-    elif place == "near 0":
-        r = 10.0 ** -rng.uniform(2.0, 13.0)
-    else:
-        r = 1.0 - 10.0 ** -rng.uniform(2.0, 13.0)
-    k = rng.uniform(0.2, 30.0)
-    c = rng.uniform(0.0, 5.0)
-    sign = rng.choice((1.0, -1.0))
-    family = rng.randrange(5)
-    if family == 0:
-        def f(x):
-            return sign * (k * (x - r) + c * (x - r) ** 3)
-    elif family == 1:
-        def f(x):
-            return sign * math.expm1(k * (x - r))
-    elif family == 2:
-        def f(x):
-            return sign * (math.tanh(k * (x - r)) + c * (x - r))
-    elif family == 3:
-        def f(x):
-            return sign * math.log(x / r) * (1.0 + c * x)
-    else:
-        def f(x):
-            return sign * (x - r) * math.exp(-k * x) / (1.0 + x * x)
-    lo = r * rng.uniform(0.05, 0.9) if family == 3 else -rng.uniform(0.0, 0.5)
-    hi = 1.0 + rng.uniform(0.0, 0.5)
-    xtol, rtol = rng.choice(((1e-300, 9e-16), (1e-15, 8.9e-16), (2e-12, EPS4), (1e-10, 1e-10)))
-    return f, lo, hi, xtol, rtol, rng.choice((100, 300))
-
-
-def test_random_bracketed_functions_match_scipy_bit_for_bit():
-    rng = random.Random(20261018)
-    for _ in range(200):
-        agree_with_scipy(*_random_problem(rng))
-
-
-def test_underflowing_interpolation_matches_scipy():
-    # slopes of order 1e-150 and below underflow the extrapolation
-    # denominator to zero, where C divides into inf or nan and bisects
-    rng = random.Random(3)
-    for _ in range(50):
-        r, k, scale = rng.uniform(0.05, 0.95), rng.uniform(0.5, 5.0), 10.0 ** -rng.uniform(150, 300)
-        agree_with_scipy(lambda x: scale * (math.expm1(k * (x - r)) + (x - r) ** 3),
-                         0.0, 1.0, 1e-300, 9e-16, 300)
-
+# ---------------------------------------------------------------- Brent oracle
 
 def random_share_states(seed=5):
     """120 seeded one-date states over all three curvature branches."""
@@ -155,7 +43,7 @@ def random_share_states(seed=5):
 
 def assert_matches_scipy(args, share):
     """The solver's share agrees with scipy's Brent root to both tolerances."""
-    expected = brent_share_root(*args[:6], brentq=scipy_brentq)
+    expected = brent_share_root(*args[:6])
     assert type(share) is float and 0.0 < share < 1.0
     assert share == pytest.approx(expected, rel=2 * max(args[5], solver._MIN_RTOL), abs=0.0)
 
@@ -191,20 +79,6 @@ def test_solved_paths_match_scipy_step_for_step(monkeypatch, gamma, terminal):
     for args, share in calls:
         assert_matches_scipy(args, share)
     assert path.residuals.max() < 1e-10
-
-
-def test_gamma1_first_order_condition_matches_scipy(monkeypatch):
-    oracle = Oracle()
-    monkeypatch.setattr(regimes, "brentq", oracle)
-    rng = random.Random(11)
-    for _ in range(25):
-        params = EconomyParams(agg=CesAggregator(beta=rng.uniform(0.2, 0.8),
-                                                 sigma=rng.uniform(0.4, 3.0)),
-                               housing=HousingUtility(gamma=1.0, m=10.0 ** rng.uniform(-6.0, 0.0)),
-                               G=rng.uniform(1.01, 1.2), e1=rng.uniform(50.0, 150.0),
-                               e2=rng.uniform(50.0, 150.0))
-        assert 0.0 < gamma1_steady_state(params).s_star < 1.0
-    assert oracle.calls == 25
 
 
 # ---------------------------------------------------------------- 50-digit oracle
@@ -256,6 +130,72 @@ def test_solved_paths_as_close_to_50_digits_as_brent(monkeypatch, params, termin
         assert path.residuals.max() <= 1e-15
 
 
+def gamma1_economy(beta, sigma, m, G, e1, e2):
+    return EconomyParams(agg=CesAggregator(beta=beta, sigma=sigma),
+                         housing=HousingUtility(gamma=1.0, m=m), G=G, e1=e1, e2=e2)
+
+
+def random_gamma1_economies():
+    """25 seeded gamma = 1 economies, each also at sigma = 1."""
+    rng = random.Random(11)
+    for _ in range(25):
+        beta, sigma = rng.uniform(0.2, 0.8), rng.uniform(0.4, 3.0)
+        m, G = 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(1.01, 1.2)
+        e1, e2 = rng.uniform(50.0, 150.0), rng.uniform(50.0, 150.0)
+        yield gamma1_economy(beta, sigma, m, G, e1, e2)
+        yield gamma1_economy(beta, 1.0, m, G, e1, e2)
+
+
+# (beta, m, G, e1, e2) at sigma = 1; the last is the golden gamma1 config,
+# whose root is 1/sqrt(11)
+SIGMA1_ECONOMIES = [
+    (0.3, 1e-9, 1.05, 10.0, 150.0),
+    (0.5, 1e-7, 1.1, 20.0, 100.0),
+    (0.5, 0.1, 1.1, 100.0, 100.0),
+]
+
+
+def test_gamma1_share_within_its_condition_number_of_50_digits():
+    economies = list(random_gamma1_economies())
+    economies += [gamma1_economy(beta, 1.0, m, G, e1, e2)
+                  for beta, m, G, e1, e2 in SIGMA1_ECONOMIES]
+    for params in economies:
+        s = gamma1_steady_state(params).s_star
+        root, kappa = mp_gamma1_share(params, s)
+        with mpmath.workdps(50):
+            error = float(abs(s - root) / root)
+        assert error <= 8 * EPS * kappa, (params, error / (EPS * kappa))
+
+
+def sigma1_quadratic_root(params):
+    """The gamma = 1 share at sigma = 1, at 50 digits.
+
+    With Cobb-Douglas consumption the condition reduces to
+    ``-(1+m) s^2 + (beta - (1-beta) w + m (1-w)) s + m w = 0``; its
+    positive root.
+    """
+    with mpmath.workdps(50):
+        beta, m = mpmath.mpf(params.agg.beta), mpmath.mpf(params.housing.m)
+        w = mpmath.mpf(params.income_ratio)
+        a, b, c = -(1 + m), beta - (1 - beta) * w + m * (1 - w), m * w
+        return (-b - mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+@pytest.mark.parametrize("beta,m,G,e1,e2", SIGMA1_ECONOMIES)
+def test_gamma1_share_at_sigma_1_is_the_exact_quadratic_root(beta, m, G, e1, e2):
+    params = gamma1_economy(beta, 1.0, m, G, e1, e2)
+    s = gamma1_steady_state(params).s_star
+    with mpmath.workdps(50):
+        root = sigma1_quadratic_root(params)
+        assert float(abs(s - root)) <= 4 * math.ulp(s), (s, root)
+
+
+def test_golden_gamma1_share_is_one_over_sqrt_11_correctly_rounded():
+    s = gamma1_steady_state(gamma1_economy(0.5, 1.0, 0.1, 1.1, 100.0, 100.0)).s_star
+    with mpmath.workdps(50):
+        assert s == float(1 / mpmath.sqrt(11))
+
+
 # ---------------------------------------------------------------- safeguarded Newton
 
 def decreasing(g, dg):
@@ -295,6 +235,17 @@ def test_newton_expands_toward_an_unknown_lower_end():
 def test_newton_returns_the_floor_when_the_root_lies_below_it():
     f = decreasing(lambda x: -1.0 - x, lambda x: -1.0)
     assert roots.newton(f, 0.0, -0.5, 1.0, 9e-16, 50)[:2] == (-0.5, 0.0)
+
+
+def test_newton_does_not_stop_where_a_term_overflows():
+    # an infinite value against an infinite scale is not a small residual
+    def f(x):
+        value = math.inf if x < 0.0 else 1.0 - x
+        return value, -1.0, abs(value)
+
+    x, dx, evaluations, safeguards = roots.newton(f, -1.0, -10.0, 5.0, 9e-16, 50)
+    assert safeguards >= 1
+    assert x + dx == pytest.approx(1.0, rel=1e-15)
 
 
 def test_newton_nan_value_is_a_solver_error():
