@@ -124,7 +124,10 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     if not np.all(path.P > 0.0):
         raise DomainError("price must be positive at every date")
     T = path.T
-    x = path.r / path.P
+    # a diverging rent-price series may overflow to inf; that is its verdict, not an error
+    with np.errstate(over="ignore"):
+        x = path.r / path.P
+        partial_sums = np.cumsum(x)
     rho = tail_growth(x, window)
     rho_r = tail_growth(path.r, window)
     discount = float(np.exp(np.mean(np.log(path.R[-window:]))))
@@ -137,7 +140,7 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     return BubbleVerdict(
         is_bubble=bool(rho < 1.0 - delta),
         ratio_estimate=rho,
-        partial_sums=np.cumsum(x),
+        partial_sums=partial_sums,
         fundamental_value_0=value,
         bubble_component_0=float(path.P[0] - value),
         tvc_tail=path.q * path.P,

@@ -1,9 +1,9 @@
-"""Composite-consumption kernel: aggregator interface, CES instance, housing utility.
+"""Composite-consumption kernel: the CES aggregator and the housing utility.
 
-The equilibrium machinery is generic in a linearly homogeneous aggregator
-c(y, z) over young- and old-age consumption: it only ever calls ``value``,
-``partials``, ``value_partials``, ``second_partials``, ``mrs`` and ``eis``.
-The CES family is the shipped instance; its unit-elasticity member
+The equilibrium machinery is written for the CES aggregator c(y, z) over
+young- and old-age consumption, whose closed-form thresholds locate the
+regimes; it only ever calls ``value``, ``partials``, ``value_partials``,
+``second_partials``, ``mrs`` and ``eis``. The unit-elasticity member
 (Cobb-Douglas) is an exact branch, never a numerical limit.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Aggregator", "CesAggregator", "HousingUtility"]
+__all__ = ["CesAggregator", "HousingUtility"]
 
 
 def _check_point(y: float, z: float) -> None:
@@ -23,51 +23,8 @@ def _check_point(y: float, z: float) -> None:
         raise DomainError(f"z must be positive and finite, got {z!r}")
 
 
-class Aggregator:
-    """Interface for a linearly homogeneous consumption aggregator c(y, z).
-
-    Implementations must provide ``value``, ``partials`` and
-    ``second_partials``; ``mrs`` and ``eis`` are derived. Degree-one
-    homogeneity of ``value`` (hence degree-zero partials) is assumed
-    throughout the solver.
-    """
-
-    def value(self, y: float, z: float) -> float:
-        """Composite consumption c(y, z)."""
-        raise NotImplementedError
-
-    def partials(self, y: float, z: float) -> tuple[float, float]:
-        """First partial derivatives (c_y, c_z), both positive."""
-        raise NotImplementedError
-
-    def value_partials(self, y: float, z: float) -> tuple[float, float, float, float]:
-        """``(c, c_y, c_z, c_yz)`` at one point; override to share the work."""
-        cy, cz = self.partials(y, z)
-        return self.value(y, z), cy, cz, self.second_partials(y, z)[1]
-
-    def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
-        """Second partial derivatives (c_yy, c_yz, c_zz), signs (-, +, -)."""
-        raise NotImplementedError
-
-    def mrs(self, y: float, z: float) -> float:
-        """Marginal rate of substitution c_y / c_z.
-
-        Strictly decreasing in y and increasing in z; homogeneous of
-        degree zero.
-        """
-        cy, cz = self.partials(y, z)
-        return cy / cz
-
-    def eis(self, y: float, z: float) -> float:
-        """Elasticity of intertemporal substitution c_y c_z / (c c_yz)."""
-        c = self.value(y, z)
-        cy, cz = self.partials(y, z)
-        cyz = self.second_partials(y, z)[1]
-        return cy * cz / (c * cyz)
-
-
 @dataclass(frozen=True)
-class CesAggregator(Aggregator):
+class CesAggregator:
     """CES aggregator c(y, z) = ((1-beta) y^(1-sigma) + beta z^(1-sigma))^(1/(1-sigma)).
 
     Parameters
@@ -78,6 +35,9 @@ class CesAggregator(Aggregator):
         Inverse elasticity of intertemporal substitution, positive.
         ``sigma == 1`` selects the exact Cobb-Douglas branch
         c(y, z) = y^(1-beta) z^beta.
+
+    ``value`` is linearly homogeneous, so the partials are homogeneous of
+    degree zero; the solver relies on both.
     """
 
     beta: float
@@ -90,6 +50,7 @@ class CesAggregator(Aggregator):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     def value(self, y: float, z: float) -> float:
+        """Composite consumption c(y, z)."""
         _check_point(y, z)
         if self.sigma == 1.0:
             return y ** (1.0 - self.beta) * z ** self.beta
@@ -113,9 +74,11 @@ class CesAggregator(Aggregator):
         return top * math.exp(log_inner / e)
 
     def partials(self, y: float, z: float) -> tuple[float, float]:
+        """First partial derivatives (c_y, c_z), both positive."""
         return self.value_partials(y, z)[1:3]
 
     def value_partials(self, y: float, z: float) -> tuple[float, float, float, float]:
+        """``(c, c_y, c_z, c_yz)`` at one point."""
         c = self.value(y, z)
         cy = (1.0 - self.beta) * (y / c) ** (-self.sigma)
         cz = self.beta * (z / c) ** (-self.sigma)
@@ -123,11 +86,26 @@ class CesAggregator(Aggregator):
         return c, cy, cz, self.sigma * cy * cz / c
 
     def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
+        """Second partial derivatives (c_yy, c_yz, c_zz), signs (-, +, -)."""
         # the own partials follow from degree-zero homogeneity of the first partials
         cyz = self.value_partials(y, z)[3]
         cyy = -(z / y) * cyz
         czz = -(y / z) * cyz
         return cyy, cyz, czz
+
+    def mrs(self, y: float, z: float) -> float:
+        """Marginal rate of substitution c_y / c_z.
+
+        Strictly decreasing in y and increasing in z; homogeneous of
+        degree zero.
+        """
+        cy, cz = self.partials(y, z)
+        return cy / cz
+
+    def eis(self, y: float, z: float) -> float:
+        """Elasticity of intertemporal substitution c_y c_z / (c c_yz)."""
+        c, cy, cz, cyz = self.value_partials(y, z)
+        return cy * cz / (c * cyz)
 
 
 @dataclass(frozen=True)
@@ -153,12 +131,3 @@ class HousingUtility:
             raise DomainError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not (self.m > 0.0 and math.isfinite(self.m)):
             raise DomainError(f"m must be positive and finite, got {self.m!r}")
-
-    @property
-    def branch(self) -> str:
-        """Curvature branch tag: 'below_one', 'log' or 'above_one'."""
-        if self.gamma < 1.0:
-            return "below_one"
-        if self.gamma == 1.0:
-            return "log"
-        return "above_one"

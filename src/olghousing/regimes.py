@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import BranchError, DomainError, LoanError, RegimeError, SolverError
-from .preferences import Aggregator, CesAggregator, HousingUtility
+from .preferences import CesAggregator, HousingUtility
 from .roots import newton
 
 __all__ = [
@@ -56,7 +56,7 @@ class EconomyParams:
 
     Parameters
     ----------
-    agg : Aggregator
+    agg : CesAggregator
         Consumption aggregator c(y, z).
     housing : HousingUtility
         Curvature ``gamma`` and marginal housing utility ``m``.
@@ -67,7 +67,7 @@ class EconomyParams:
         the balanced path are ``e1 * G**t`` and ``e2 * G**t``.
     """
 
-    agg: Aggregator
+    agg: CesAggregator
     housing: HousingUtility
     G: float
     e1: float
@@ -363,7 +363,8 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
 
     The expenditure share solves a strictly concave one-dimensional
     first-order condition, found by ``roots.newton`` in log s; a share
-    outside ``(1e-12, 1 - 1e-12)`` raises ``SolverError``. The report
+    outside ``(1e-12, 1 - 1e-12)``, or a marginal c_y or c_z that
+    underflows to zero there, raises ``SolverError``. The report
     carries the implicit map slope as ``lambda1`` (``lambda2`` is None) and
     the sufficient determinacy condition on the inverse elasticity of
     substitution.
@@ -401,6 +402,12 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
 
     y, z = 1.0 - s, G * (w + s)
     c, cy, cz, cyz = agg.value_partials(y, z)
+    if not cy * cz > 0.0:
+        name, marginal = ("c_y", cy) if cy < cz else ("c_z", cz)
+        raise SolverError(
+            f"marginal {name} = {marginal!r} underflows at the gamma = 1 steady-state "
+            f"share s = {s!r}"
+        )
     cyy, czz = -(z / y) * cyz, -(y / z) * cyz
     n = (1.0 + m) * cy + G * s * cyz - s * cyy
     d = G * ((1.0 + m) * cz + G * s * czz - s * cyz)

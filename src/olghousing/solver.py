@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BranchError, DomainError, HorizonError, SolverError
-from .preferences import Aggregator, HousingUtility
+from .preferences import CesAggregator, HousingUtility
 from .regimes import (
     EconomyParams,
     bubbly_steady_state,
@@ -88,28 +88,14 @@ class Segment:
             raise DomainError(f"segment G must be positive and finite, got {self.G!r}")
 
 
-def _level(e: float, G: float, t: int) -> float:
-    """Endowment level ``e * G**t``; a horizon error once it is not finite."""
-    try:
-        level = e * G ** t
-    except OverflowError:
-        level = math.inf
-    if not math.isfinite(level):
-        raise HorizonError(
-            f"endowment level is not finite at date {t} (G={float(G)!r}); "
-            "shorten the horizon or the terminal padding"
-        )
-    return level
-
-
 @dataclass(frozen=True)
 class EndowmentPath:
     """Piecewise balanced-growth endowment schedule.
 
     Segments are dated by their first period; the last one extends forever
     and must have a growth factor above 1. ``T_max`` is the nominal horizon
-    used as a default by consumers of the schedule; levels can be evaluated
-    at any date.
+    used as a default by consumers of the schedule; ``levels`` evaluates
+    the schedule on any number of dates.
     """
 
     segments: tuple[Segment, ...]
@@ -136,22 +122,29 @@ class EndowmentPath:
     def from_params(cls, params: EconomyParams, T_max: int) -> "EndowmentPath":
         return cls(segments=(Segment(0, params.e1, params.e2, params.G),), T_max=T_max)
 
-    def segment_at(self, t: int) -> Segment:
-        chosen = self.segments[0]
-        for seg in self.segments:
-            if seg.start <= t:
-                chosen = seg
-            else:
-                break
-        return chosen
+    def levels(self, n: int) -> tuple[list[float], list[float]]:
+        """Young and old endowment levels ``e * G**t`` on dates ``0..n-1``.
 
-    def young(self, t: int) -> float:
-        seg = self.segment_at(t)
-        return _level(seg.e1, seg.G, t)
-
-    def old(self, t: int) -> float:
-        seg = self.segment_at(t)
-        return _level(seg.e2, seg.G, t)
+        Raises a horizon error at the first date whose level is not finite.
+        """
+        young: list[float] = []
+        old: list[float] = []
+        ends = [seg.start for seg in self.segments[1:]] + [n]
+        for seg, end in zip(self.segments, ends):
+            for t in range(len(young), min(end, n)):
+                try:
+                    power = seg.G ** t
+                except OverflowError:
+                    power = math.inf
+                e_y, e_o = seg.e1 * power, seg.e2 * power
+                if not (math.isfinite(e_y) and math.isfinite(e_o)):
+                    raise HorizonError(
+                        f"endowment level is not finite at date {t} (G={float(seg.G)!r}); "
+                        "shorten the horizon or the terminal padding"
+                    )
+                young.append(float(e_y))
+                old.append(float(e_o))
+        return young, old
 
     @property
     def balanced_from(self) -> int:
@@ -231,7 +224,7 @@ class EquilibriumPath:
         return len(self.S) - 1
 
 
-def _equation(agg: Aggregator, housing: HousingUtility,
+def _equation(agg: CesAggregator, housing: HousingUtility,
               share_next_scaled: float, z_hat: float, e_y_t: float):
     """The equilibrium equation at one date, as a function of today's share u.
 
@@ -245,7 +238,14 @@ def _equation(agg: Aggregator, housing: HousingUtility,
     aggregator call.
     """
     gamma = housing.gamma
-    rent_scale = housing.m * e_y_t ** (gamma - 1.0)
+    try:
+        rent_scale = housing.m * e_y_t ** (gamma - 1.0)
+    except OverflowError:
+        rent_scale = math.inf
+    if not math.isfinite(rent_scale):
+        raise HorizonError(
+            f"rent scale m * e_y**(gamma - 1) is not finite at young endowment {e_y_t:.6g}"
+        )
     value_partials = agg.value_partials
 
     def terms(u: float, y: float):
@@ -258,7 +258,7 @@ def _equation(agg: Aggregator, housing: HousingUtility,
     return terms
 
 
-def _solve_share(agg: Aggregator, housing: HousingUtility,
+def _solve_share(agg: CesAggregator, housing: HousingUtility,
                  share_next_scaled: float, z_hat: float, e_y_t: float, rtol: float,
                  near: float | None = None, step: float = 0.0) -> tuple[float, float, int, int]:
     """Root of the equilibrium equation for the current expenditure share.
@@ -315,7 +315,7 @@ def _solve_share(agg: Aggregator, housing: HousingUtility,
     return u, w, evaluations + cold, safeguards
 
 
-def backward_step(housing: HousingUtility, agg: Aggregator,
+def backward_step(housing: HousingUtility, agg: CesAggregator,
                   S_next: float, e_y_t: float, e_o_next: float,
                   tol: float | None = None) -> float:
     """One backward-induction step: today's expenditure from tomorrow's.
@@ -344,10 +344,10 @@ def backward_step(housing: HousingUtility, agg: Aggregator,
 def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
                    terminal: TerminalKind) -> tuple[float, float | None]:
     """Terminal share seed and the slope ``lambda1`` at its steady state."""
-    branch = params.housing.branch
+    gamma = params.housing.gamma
     terminal = TerminalKind(terminal)
     fin = endowments.final_params(params)
-    if branch == "below_one":
+    if gamma < 1.0:
         if terminal is TerminalKind.FUNDAMENTAL:
             return 0.0, fundamental_steady_state(fin).lambda1
         if terminal is TerminalKind.BUBBLY:
@@ -357,7 +357,7 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
             f"terminal {terminal.value} is not admissible for gamma < 1; "
             "choose Fundamental or Bubbly"
         )
-    if branch == "log":
+    if gamma == 1.0:
         if terminal is not TerminalKind.GAMMA1:
             raise BranchError("gamma == 1 admits only the Gamma1 terminal")
         rep = gamma1_steady_state(fin)
@@ -371,9 +371,10 @@ def _auto_pad(terminal: TerminalKind, lambda1: float | None) -> int:
     """Distance beyond the horizon at which the terminal seed is planted.
 
     The backward recursion contracts seed error by 1/|lambda1| per step, so
-    around 28 e-foldings push it below machine precision. The seed is always
-    at least one period beyond the horizon so every returned date has a
-    successor.
+    around 28 e-foldings leave a relative error of about e^-28 ~ 6.9e-13 at
+    date T, not machine precision: tripling this pad moves a fundamental
+    path's s_T (seeded at 0) by 6.2-6.8e-13. The seed is always at least
+    one period beyond the horizon so every returned date has a successor.
     """
     if terminal is TerminalKind.GAMMA_ABOVE_1:
         return 150
@@ -423,11 +424,7 @@ def solve_path(params: EconomyParams,
     agg, housing = params.agg, params.housing
     rtol = _MIN_RTOL if tol is None else float(tol)
     # the recursion runs on plain floats; arrays are built once, in _assemble
-    e_y: list[float] = []
-    e_o: list[float] = []
-    for t in range(t_seed + 1):
-        e_y.append(float(endowments.young(t)))
-        e_o.append(float(endowments.old(t)))
+    e_y, e_o = endowments.levels(t_seed + 1)
 
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
@@ -440,8 +437,13 @@ def solve_path(params: EconomyParams,
     step = 0.0
     evaluations = worst = safeguards = 0
     for t in range(t_seed - 1, -1, -1):
-        shares[t], w, n, k = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
-                                          e_y[t], rtol, near, step)
+        try:
+            shares[t], w, n, k = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
+                                              e_y[t], rtol, near, step)
+        except HorizonError as exc:
+            raise HorizonError(
+                f"{exc} (date {t}); shorten the horizon or the terminal padding"
+            ) from None
         if near is not None:
             step = math.log(w / near)
         near = w
@@ -546,11 +548,10 @@ def solve_scenario(params: EconomyParams,
         raise HorizonError("last announcement lies beyond the horizon")
 
     bounds = [a for a, _ in announcements] + [T + 1]
+    real_y, real_o = realized.levels(T + 1)
     for k, (a_k, believed) in enumerate(announcements):
-        until = min(bounds[k + 1], T + 1)
-        for t in range(0, until):
-            by, ry = believed.young(t), realized.young(t)
-            bo, ro = believed.old(t), realized.old(t)
+        believed_y, believed_o = believed.levels(min(bounds[k + 1], T + 1))
+        for t, (by, bo, ry, ro) in enumerate(zip(believed_y, believed_o, real_y, real_o)):
             if not (math.isclose(by, ry, rel_tol=1e-12) and math.isclose(bo, ro, rel_tol=1e-12)):
                 raise DomainError(
                     f"belief announced at {a_k} disagrees with realized endowments "

@@ -464,6 +464,11 @@ def run_python(code, *args):
                           capture_output=True, env=env)
 
 
+def run_cli(*argv):
+    return run_python("import sys; from olghousing.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *argv)
+
+
 def test_cli_import_loads_no_scipy():
     result = run_python("import sys, olghousing.cli; "
                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -563,6 +568,46 @@ def test_gamma1_share_below_its_floor_exits_with_one_json_error(tmp_path, capsys
     assert "at or below 1e-12" in payload["message"]
 
 
+# c_z underflows to 0 at the gamma = 1 steady state
+GAMMA1_UNDERFLOW = {"beta": 0.5, "sigma": 50.0, "gamma": 1.0, "m": 1e8, "G": 1.1,
+                    "e1": 100.0, "e2": 100.0}
+# e_y**(gamma - 1) overflows while the endowment level itself is finite
+RENT_OVERFLOW = dict(BASE, gamma=2.5, G=3.0, e1=1.0, e2=1.0, T=300)
+# r/P overflows inside detect_bubble
+RENT_PRICE_OVERFLOW = {"beta": 0.33417033411333885, "sigma": 59.43498548196604,
+                       "gamma": 1.0, "m": 0.06426911772663384, "G": 1.4291711994071246,
+                       "e1": 0.0011615146421400443, "e2": 168.89945081867958, "T": 194}
+
+
+@pytest.mark.parametrize("command,doc,error,detail", [
+    ("regimes", GAMMA1_UNDERFLOW, "SolverError", "marginal c_z = 0.0 underflows"),
+    ("solve", GAMMA1_UNDERFLOW, "SolverError", "marginal c_z = 0.0 underflows"),
+    ("solve", RENT_OVERFLOW, "HorizonError", "(date 449)"),
+    ("solve", RENT_PRICE_OVERFLOW, "DomainError", "positive and finite"),
+], ids=["gamma1-underflow-regimes", "gamma1-underflow-solve", "rent-scale-overflow",
+        "rent-price-overflow"])
+def test_extreme_config_prints_one_json_line_in_a_subprocess(tmp_path, command, doc,
+                                                             error, detail):
+    # a subprocess, because pytest's warning capture would hide a numpy warning on stderr
+    result = run_cli(command, "--config", write_config(tmp_path, doc))
+    assert result.returncode == 2 and result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == error
+    assert detail in payload["message"]
+
+
+def test_diverging_rent_price_sum_prints_no_warning_in_a_subprocess(tmp_path):
+    # the rent-price partial sums of this credit economy overflow to inf
+    doc = {"beta": 0.9178042059047289, "sigma": 55.39695815339415,
+           "gamma": 0.4146689573331519, "m": 0.0014419194981275271, "G": 2.497049289903144,
+           "e1": 0.00288347895295137, "e2": 425.389622120354, "T": 167,
+           "lambda": 0.04665947280255822}
+    result = run_cli("credit", "--config", write_config(tmp_path, doc))
+    assert result.returncode == 0 and result.stdout and result.stderr == b""
+
+
 # ---------------------------------------------------------------- error contract fuzz
 
 def _economy_configs():
@@ -570,12 +615,12 @@ def _economy_configs():
     return st.fixed_dictionaries(
         {
             "beta": st.floats(0.05, 0.95, **finite),
-            "sigma": st.one_of(st.just(1.0), st.floats(0.2, 5.0, **finite)),
+            "sigma": st.one_of(st.just(1.0), st.floats(0.05, 60.0, **finite)),
             "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **finite)),
-            "m": st.floats(-12.0, 2.0, **finite).map(lambda e: 10.0 ** e),
-            "G": st.floats(1.01, 1.5, **finite),
-            "e1": st.floats(10.0, 200.0, **finite),
-            "e2": st.floats(10.0, 200.0, **finite),
+            "m": st.floats(-12.0, 10.0, **finite).map(lambda e: 10.0 ** e),
+            "G": st.floats(1.01, 3.2, **finite),
+            "e1": st.floats(-3.0, 3.0, **finite).map(lambda e: 10.0 ** e),
+            "e2": st.floats(-3.0, 3.0, **finite).map(lambda e: 10.0 ** e),
             "T": st.integers(1, 300),
         },
         optional={
@@ -600,6 +645,8 @@ def _runs(draw):
     return command, doc
 
 
+# a numpy RuntimeWarning would reach stderr outside pytest; here it fails the run
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=_runs())

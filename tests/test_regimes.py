@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from olghousing import Aggregator, BranchError, CesAggregator, DomainError, HousingUtility, LoanError, RegimeError
+from olghousing import BranchError, CesAggregator, DomainError, HousingUtility, LoanError, RegimeError, SolverError
 from olghousing.regimes import (
     Determinacy,
     EconomyParams,
@@ -87,7 +87,7 @@ def test_thresholds_reject_gamma_at_or_above_one():
 
 
 def test_thresholds_reject_non_ces_aggregator():
-    class Linear(Aggregator):
+    class Linear:
         def value(self, y, z):
             return y + z
 
@@ -303,6 +303,13 @@ def test_gamma1_slope_matches_finite_difference():
 def test_gamma1_small_housing_weight_shrinks_share():
     p = make_params(gamma=1.0, m=1e-8, e1=100.0, e2=100.0)
     assert gamma1_steady_state(p).s_star < 1e-4
+
+
+def test_gamma1_underflowing_marginal_is_a_solver_error():
+    # at sigma = 50 and a share near 1, c_z = beta (z/c)^-50 underflows to 0
+    p = make_params(sigma=50.0, gamma=1.0, m=1e8, e1=100.0, e2=100.0)
+    with pytest.raises(SolverError, match="marginal c_z = 0.0 underflows"):
+        gamma1_steady_state(p)
 
 
 def test_gamma1_branch_errors():

@@ -11,6 +11,7 @@ from olghousing.errors import (
     BranchError,
     DomainError,
     HorizonError,
+    ModelError,
     RegimeError,
     SolverError,
 )
@@ -80,6 +81,22 @@ def test_backward_step_rejects_bad_inputs():
         backward_step(h, agg, 1.0, 10.0, -5.0)
     with pytest.raises(DomainError):
         backward_step(h, agg, math.nan, 10.0, 10.0)
+
+
+@pytest.mark.parametrize("m", [0.1, 1e10], ids=["power", "product"])
+def test_rent_scale_overflow_is_a_horizon_error(m):
+    # e_y**(gamma - 1) overflows ("power"), or m times it does ("product"),
+    # while e_y itself is finite
+    h = HousingUtility(gamma=2.5, m=m)
+    agg = CesAggregator(beta=0.5, sigma=1.0)
+    with pytest.raises(ModelError, match="rent scale"):
+        backward_step(h, agg, 1.0, 1e300 if m < 1.0 else 1e200, 1.0)
+
+
+def test_rent_scale_overflow_names_the_date():
+    params = make_params(gamma=2.5, G=3.0, e1=1.0, e2=1.0)
+    with pytest.raises(HorizonError, match=r"rent scale .* \(date 449\)"):
+        solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 300)
 
 
 def test_backward_step_interior_and_deterministic():
@@ -462,19 +479,23 @@ def test_terminal_validation_errors():
 
 def test_endowment_levels_use_global_exponent():
     path = EndowmentPath((Segment(0, 95.0, 105.0, 1.1), Segment(40, 105.0, 95.0, 1.1)), 120)
-    assert path.young(0) == 95.0
-    assert path.young(39) == pytest.approx(95.0 * 1.1 ** 39, rel=1e-15)
-    assert path.young(40) == pytest.approx(105.0 * 1.1 ** 40, rel=1e-15)
-    assert path.old(40) == pytest.approx(95.0 * 1.1 ** 40, rel=1e-15)
+    young, old = path.levels(41)
+    assert len(young) == len(old) == 41
+    assert young[0] == 95.0
+    assert young[39] == pytest.approx(95.0 * 1.1 ** 39, rel=1e-15)
+    assert old[39] == pytest.approx(105.0 * 1.1 ** 39, rel=1e-15)
+    assert young[40] == pytest.approx(105.0 * 1.1 ** 40, rel=1e-15)
+    assert old[40] == pytest.approx(95.0 * 1.1 ** 40, rel=1e-15)
+    assert all(type(level) is float for level in young + old)
     assert path.balanced_from == 40
-    assert path.segment_at(39).e1 == 95.0
-    assert path.segment_at(40).e1 == 105.0
+    assert path.levels(0) == ([], [])
 
 
 def test_endowment_from_params_matches_primitives():
     path = EndowmentPath.from_params(FUND, 200)
-    assert path.young(13) == pytest.approx(95.0 * 1.1 ** 13, rel=1e-15)
-    assert path.old(13) == pytest.approx(105.0 * 1.1 ** 13, rel=1e-15)
+    young, old = path.levels(14)
+    assert young[13] == pytest.approx(95.0 * 1.1 ** 13, rel=1e-15)
+    assert old[13] == pytest.approx(105.0 * 1.1 ** 13, rel=1e-15)
     assert path.T_max == 200
     assert path.balanced_from == 0
 
@@ -502,10 +523,9 @@ def test_endowment_validation_errors():
 def test_endowment_overflow_is_a_horizon_error(segment, date):
     path = EndowmentPath((segment,), 10)
     with pytest.raises(HorizonError, match=f"not finite at date {date} "):
-        for t in range(10_000):
-            path.young(t)
-            path.old(t)
-    assert math.isfinite(path.young(date - 1)) and math.isfinite(path.old(date - 1))
+        path.levels(10_000)
+    young, old = path.levels(date)
+    assert math.isfinite(young[-1]) and math.isfinite(old[-1])
 
 
 # ---------------------------------------------------------------- scenarios
