@@ -117,7 +117,7 @@ _TERMINAL_NAMES = tuple(k.value for k in TerminalKind)
 
 _KNOWN_KEYS = {
     "beta", "sigma", "gamma", "m", "G", "e1", "e2",
-    "T", "tail_window", "tol", "seed_pad", "delta",
+    "T", "tail_window", "seed_pad", "delta",
     "terminal", "announcements", "terminals",
     "lambda",
     "gamma_inv_min", "gamma_inv_max", "w_inv_min", "w_inv_max", "resolution",
@@ -137,7 +137,6 @@ class RunConfig:
     e2: float | None = None
     T: int = 200
     tail_window: int = 20
-    tol: float | None = None
     seed_pad: int | None = None
     delta: float = 1e-3
     terminal: str | None = None
@@ -188,7 +187,6 @@ class RunConfig:
             e2=_get_float(data, "e2", minimum=0.0),
             T=_get_int(data, "T", default=200, minimum=1),
             tail_window=_get_int(data, "tail_window", default=20, minimum=2),
-            tol=_get_float(data, "tol", minimum=0.0),
             seed_pad=_get_int(data, "seed_pad", minimum=1),
             delta=_get_float(data, "delta", default=1e-3, minimum=0.0),
             terminal=terminal,
@@ -408,7 +406,7 @@ def _solve(cfg: RunConfig, params: EconomyParams) -> EquilibriumPath:
     """Single-belief path of ``params`` over the configured horizon."""
     terminal = _infer_terminal(params, cfg.terminal)
     _check_tail_window(cfg)
-    return solve_path(params, None, terminal, cfg.T, tol=cfg.tol, seed_pad=cfg.seed_pad)
+    return solve_path(params, None, terminal, cfg.T, seed_pad=cfg.seed_pad)
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
@@ -446,8 +444,7 @@ def cmd_scenario(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     params = cfg.economy()
     schedule, realized, kinds = _belief_paths(cfg)
     _check_tail_window(cfg, realized.balanced_from)
-    path = solve_scenario(params, schedule, realized, kinds, cfg.T,
-                          tol=cfg.tol, seed_pad=cfg.seed_pad)
+    path = solve_scenario(params, schedule, realized, kinds, cfg.T, seed_pad=cfg.seed_pad)
     summary = _summarize_path("scenario", cfg, path)
     summary["beliefs"] = [
         {"announce_date": a, "balanced_from": p.balanced_from,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# floor on the relative tolerance of the share root solve: about 4 ulp
+# relative tolerance of the share root solve: about 4 ulp
 _MIN_RTOL = 9e-16
 # a share root below this counts as unrepresentable
 _TINY_SHARE = 1e-300
@@ -61,6 +62,8 @@ _FLOOR_LOG_Y = math.log(2.0 ** -55)
 # iteration cap of one share root: above the ~330 ln 8 steps that cross the
 # whole log u range, so only a failure to converge reaches it
 _MAX_NEWTON = 400
+# a rent below this (the least normal float) has lost precision
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -259,8 +262,9 @@ def _equation(agg: CesAggregator, housing: HousingUtility,
 
 
 def _solve_share(agg: CesAggregator, housing: HousingUtility,
-                 share_next_scaled: float, z_hat: float, e_y_t: float, rtol: float,
-                 near: float | None = None, step: float = 0.0) -> tuple[float, float, int, int]:
+                 share_next_scaled: float, z_hat: float, e_y_t: float,
+                 near: float | None = None,
+                 step: float = 0.0) -> tuple[float, float, Callable[..., tuple], int, int]:
     """Root of the equilibrium equation for the current expenditure share.
 
     Safeguarded Newton (``roots.newton``) in ``x = log w``, where ``w`` is
@@ -272,7 +276,8 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     ``g = (share_next_scaled*c_z + rent)/c_y`` at ``y = 1``, which costs one
     aggregator evaluation.
 
-    Returns ``(u, w, aggregator evaluations, safeguard steps)``.
+    Returns ``(u, w, terms, aggregator evaluations, safeguard steps)``,
+    where ``terms`` is the date's ``_equation`` that was solved.
     """
     terms = _equation(agg, housing, share_next_scaled, z_hat, e_y_t)
     upper = housing.gamma > 1.0
@@ -301,7 +306,7 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     x = math.log(near)
     lo, hi = (_FLOOR_LOG_Y if upper else _FLOOR_LOG_U) - x, -x
     d, dx, evaluations, safeguards = newton(f, min(max(step, lo), 0.5 * hi), lo, hi,
-                                            max(rtol, _MIN_RTOL), _MAX_NEWTON)
+                                            _MIN_RTOL, _MAX_NEWTON)
     # the final correction moves the last evaluated point's w by the factor
     # e^dx; applied to w and u directly, it is not rounded away
     u, y = point(d)
@@ -312,12 +317,11 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
         raise SolverError("share root pinned against full young income")
     if u < _TINY_SHARE:
         raise SolverError("share root vanished below representable range")
-    return u, w, evaluations + cold, safeguards
+    return u, w, terms, evaluations + cold, safeguards
 
 
 def backward_step(housing: HousingUtility, agg: CesAggregator,
-                  S_next: float, e_y_t: float, e_o_next: float,
-                  tol: float | None = None) -> float:
+                  S_next: float, e_y_t: float, e_o_next: float) -> float:
     """One backward-induction step: today's expenditure from tomorrow's.
 
     Returns the unique S in (0, e_y_t) balancing the young's housing demand
@@ -330,14 +334,7 @@ def backward_step(housing: HousingUtility, agg: CesAggregator,
         raise DomainError(f"e_y_t must be positive and finite, got {e_y_t!r}")
     if not (e_o_next > 0.0 and math.isfinite(e_o_next)):
         raise DomainError(f"e_o_next must be positive and finite, got {e_o_next!r}")
-    rtol = _MIN_RTOL if tol is None else float(tol)
-    share = _solve_share(
-        agg, housing,
-        S_next / e_y_t,
-        (e_o_next + S_next) / e_y_t,
-        e_y_t,
-        rtol,
-    )[0]
+    share = _solve_share(agg, housing, S_next / e_y_t, (e_o_next + S_next) / e_y_t, e_y_t)[0]
     return share * e_y_t
 
 
@@ -386,21 +383,52 @@ def _auto_pad(terminal: TerminalKind, lambda1: float | None) -> int:
     return min(max(pad, 60), 5000)
 
 
+def _price_date(terms: Callable[..., tuple], u: float, S_next: float, e_y_t: float,
+                t: int) -> tuple[float, float, float, float]:
+    """``(P, r, R, residual)`` at a solved date, from the equation solved there."""
+    if not 0.0 < u < 1.0:
+        raise HorizonError(f"expenditure share left (0, 1) at date {t}: {u!r}")
+    a, b, rent, _, cy, cz = terms(u, 1.0 - u)
+    # price and rent from their own first-order conditions; this avoids
+    # the cancellation in S - r when the price is a sliver of S, and in
+    # S - P when the rent is (the marginal utilities are scale free)
+    price = S_next * cz / cy
+    if not price > 0.0:
+        raise HorizonError(
+            f"nonpositive house price at date {t}: P={price!r}; "
+            "the horizon or terminal padding is too short"
+        )
+    rent_level = (rent / cy) * e_y_t
+    if not rent_level >= _NORMAL_MIN:
+        raise HorizonError(
+            f"rent underflows below the normal float range at date {t}: r={rent_level!r}"
+        )
+    rate = S_next / price
+    if rate == math.inf:
+        raise HorizonError(
+            f"house price underflows against expenditure at date {t}: P={price!r}, "
+            f"S_next={S_next!r}, so the interest rate S_next/P is infinite"
+        )
+    return price, rent_level, rate, abs(a - b + rent) / max(a, b, rent)
+
+
 def solve_path(params: EconomyParams,
                endowments: EndowmentPath | None,
                terminal: TerminalKind | str,
                T: int,
-               tol: float | None = None,
                seed_pad: int | None = None) -> EquilibriumPath:
     """Equilibrium path on dates 0..T for one fixed belief.
 
     The terminal condition seeds the expenditure share at the steady state
     of the requested long run, ``pad`` periods beyond T (automatic unless
     ``seed_pad`` is given), then walks the equilibrium equation backwards.
+    Each date's equation is built once: on dates 0..T the one solved for
+    the share also gives the price, rent, interest rate and residual.
 
     Raises a regime error when the final segment does not admit the
     requested terminal, and a horizon error when the horizon precedes the
-    final segment or some price on the returned window fails to be positive.
+    final segment or, on the returned window, some price fails to be
+    positive or underflows against expenditure, or some rent underflows.
     """
     if T < 1:
         raise HorizonError(f"horizon must be at least 1, got {T}")
@@ -422,12 +450,13 @@ def solve_path(params: EconomyParams,
     )
 
     agg, housing = params.agg, params.housing
-    rtol = _MIN_RTOL if tol is None else float(tol)
-    # the recursion runs on plain floats; arrays are built once, in _assemble
+    # the recursion runs on plain floats; arrays are built once, at the end
     e_y, e_o = endowments.levels(t_seed + 1)
 
+    n = T + 1
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
+    P, r, R, residuals = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     # each date starts from the next date's root, stepped on by the change
     # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
     # linear extrapolation; a zero seed leaves the first date to the cold start
@@ -437,35 +466,45 @@ def solve_path(params: EconomyParams,
     step = 0.0
     evaluations = worst = safeguards = 0
     for t in range(t_seed - 1, -1, -1):
+        S_next = shares[t + 1] * e_y[t + 1]
         try:
-            shares[t], w, n, k = _solve_share(agg, housing, *_scaled_next(shares, e_y, e_o, t),
-                                              e_y[t], rtol, near, step)
+            u, w, terms, calls, steps = _solve_share(
+                agg, housing, shares[t + 1] * (e_y[t + 1] / e_y[t]),
+                (e_o[t + 1] + S_next) / e_y[t], e_y[t], near, step)
         except HorizonError as exc:
             raise HorizonError(
                 f"{exc} (date {t}); shorten the horizon or the terminal padding"
             ) from None
+        shares[t] = u
         if near is not None:
             step = math.log(w / near)
         near = w
-        evaluations += n
-        safeguards += k
-        if n > worst:
-            worst = n
+        evaluations += calls
+        safeguards += steps
+        if calls > worst:
+            worst = calls
+        if t < n:
+            P[t], r[t], R[t], residuals[t] = _price_date(terms, u, S_next, e_y[t], t)
+    residuals = np.array(residuals)
+    worst_date = int(residuals.argmax())
     log.debug(
         "solve_path: %d aggregator evaluations over %d dates (at most %d on one date), "
-        "%d safeguard steps",
-        evaluations, t_seed, worst, safeguards,
+        "%d safeguard steps, largest residual %.3g at date %d",
+        evaluations, t_seed, worst, safeguards, residuals[worst_date], worst_date,
     )
 
-    return _assemble(params, endowments, terminal, T, shares, e_y, e_o)
-
-
-def _scaled_next(shares: list[float], e_y: list[float], e_o: list[float],
-                 t: int) -> tuple[float, float]:
-    """``(S_{t+1}/e_y_t, (e_o_{t+1} + S_{t+1})/e_y_t)`` from the share sequence."""
-    scale = e_y[t + 1] / e_y[t]
-    return (shares[t + 1] * scale,
-            (e_o[t + 1] + shares[t + 1] * e_y[t + 1]) / e_y[t])
+    e_y, e_o, s = np.array(e_y[:n]), np.array(e_o[:n]), np.array(shares[:n])
+    S = s * e_y
+    return EquilibriumPath(
+        e_y=e_y, e_o=e_o, S=S, s=s, P=np.array(P), r=np.array(r), R=np.array(R),
+        q=_present_value(R),
+        c_y=e_y - S, c_o=e_o + S,
+        belief_index=np.zeros(n, dtype=int),
+        residuals=residuals,
+        terminal_kind=terminal,
+        endowments=endowments,
+        balanced_from=endowments.balanced_from,
+    )
 
 
 def _present_value(R: Sequence[float]) -> np.ndarray:
@@ -476,59 +515,11 @@ def _present_value(R: Sequence[float]) -> np.ndarray:
     return np.array(q)
 
 
-def _assemble(params: EconomyParams, endowments: EndowmentPath,
-              terminal: TerminalKind, T: int, shares: list[float],
-              e_y_full: list[float], e_o_full: list[float]) -> EquilibriumPath:
-    """Populate all per-date fields from the solved share sequence."""
-    agg, housing = params.agg, params.housing
-    n = T + 1
-    P: list[float] = []
-    r: list[float] = []
-    R: list[float] = []
-    residuals: list[float] = []
-    for t in range(n):
-        share = shares[t]
-        if not 0.0 < share < 1.0:
-            raise HorizonError(f"expenditure share left (0, 1) at date {t}: {share!r}")
-        terms = _equation(agg, housing, *_scaled_next(shares, e_y_full, e_o_full, t),
-                          e_y_full[t])
-        a, b, rent, _, cy_d, cz_d = terms(share, 1.0 - share)
-        residuals.append(abs(a - b + rent) / max(a, b, rent))
-        # price and rent from their own first-order conditions; this avoids
-        # the cancellation in S - r when the price is a sliver of S, and in
-        # S - P when the rent is (the marginal utilities are scale free)
-        r.append((rent / cy_d) * e_y_full[t])
-        S_next = shares[t + 1] * e_y_full[t + 1]
-        price = S_next * cz_d / cy_d
-        if not price > 0.0:
-            raise HorizonError(
-                f"nonpositive house price at date {t}: P={price!r}; "
-                "the horizon or terminal padding is too short"
-            )
-        P.append(price)
-        R.append(S_next / price)
-    e_y = np.array(e_y_full[:n])
-    e_o = np.array(e_o_full[:n])
-    s = np.array(shares[:n])
-    S = s * e_y
-    return EquilibriumPath(
-        e_y=e_y, e_o=e_o, S=S, s=s, P=np.array(P), r=np.array(r), R=np.array(R),
-        q=_present_value(R),
-        c_y=e_y - S, c_o=e_o + S,
-        belief_index=np.zeros(n, dtype=int),
-        residuals=np.array(residuals),
-        terminal_kind=terminal,
-        endowments=endowments,
-        balanced_from=endowments.balanced_from,
-    )
-
-
 def solve_scenario(params: EconomyParams,
                    schedule: BeliefSchedule,
                    realized: EndowmentPath,
                    terminals: Sequence[TerminalKind | str],
                    T: int,
-                   tol: float | None = None,
                    seed_pad: int | None = None) -> EquilibriumPath:
     """Equilibrium under a sequence of belief revisions.
 
@@ -559,7 +550,7 @@ def solve_scenario(params: EconomyParams,
                 )
 
     paths = [
-        solve_path(params, believed, terminals[k], T, tol=tol, seed_pad=seed_pad)
+        solve_path(params, believed, terminals[k], T, seed_pad=seed_pad)
         for k, (_, believed) in enumerate(announcements)
     ]
     log.debug("solve_scenario: %d beliefs over horizon %d", len(paths), T)

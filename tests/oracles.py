@@ -18,8 +18,7 @@ EDGE = 1e-14
 MIN_RTOL = 9e-16
 
 
-def brent_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, rtol,
-                     brentq=scipy_brentq):
+def brent_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, brentq=scipy_brentq):
     def f(u):
         c, cy, cz = agg.value_partials(1.0 - u, z_hat)[:3]
         rent = housing.m * e_y_t ** (housing.gamma - 1.0) * c ** housing.gamma
@@ -34,7 +33,7 @@ def brent_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, rtol,
         hi = 1.0 - (1.0 - hi) / 8.0
         if hi == 1.0:
             raise SolverError("share root pinned against full young income")
-    return brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, MIN_RTOL), maxiter=300)
+    return brentq(f, lo, hi, xtol=1e-300, rtol=MIN_RTOL, maxiter=300)
 
 
 def _ces(beta, sigma, y, z):

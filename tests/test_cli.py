@@ -49,10 +49,9 @@ def run_main(capsys, argv):
 # ---------------------------------------------------------------- config
 
 def test_config_round_trip_bit_for_bit():
-    doc = dict(BUB, tol=1e-13, seed_pad=77, tail_window=25, delta=0.002,
-               terminal="Bubbly")
+    doc = dict(BUB, seed_pad=77, tail_window=25, delta=0.002, terminal="Bubbly")
     cfg = RunConfig.from_dict(doc)
-    assert cfg.tol == 1e-13 and cfg.seed_pad == 77 and cfg.tail_window == 25
+    assert cfg.seed_pad == 77 and cfg.tail_window == 25
     assert cfg.delta == 0.002 and cfg.terminal == "Bubbly"
     assert RunConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 
@@ -73,7 +72,7 @@ def test_config_defaults():
     cfg = RunConfig.from_dict(dict(BASE, e1=95.0, e2=105.0))
     assert cfg.T == 200
     assert cfg.tail_window == 20
-    assert cfg.tol is None and cfg.seed_pad is None
+    assert cfg.seed_pad is None
 
 
 @pytest.mark.parametrize("patch,field", [
@@ -407,6 +406,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert payload["field"] == "config"
 
 
+def test_removed_tol_key_is_an_unknown_key(tmp_path, capsys):
+    # each date's share root is solved to a fixed tolerance; there is no key to set it
+    code, out, err = run_main(capsys, ["solve", "--config",
+                                       write_config(tmp_path, dict(BUB, tol=1e-6))])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and payload["field"] == "tol"
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -451,17 +459,21 @@ def test_entry_point_subprocess(tmp_path):
     config = write_config(tmp_path, dict(BUB, T=50))
     result = subprocess.run(
         [sys.executable, "-m", "olghousing", "regimes", "--config", config],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert result.returncode == 0
     assert result.stderr == ""
     assert json.loads(result.stdout)["regime"] == "BubbleNecessity"
 
 
-def run_python(code, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+def package_env():
+    """The environment with this package's source tree first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(olghousing.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+def run_python(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, env=env)
+                          capture_output=True, env=package_env())
 
 
 def run_cli(*argv):
@@ -573,7 +585,7 @@ GAMMA1_UNDERFLOW = {"beta": 0.5, "sigma": 50.0, "gamma": 1.0, "m": 1e8, "G": 1.1
                     "e1": 100.0, "e2": 100.0}
 # e_y**(gamma - 1) overflows while the endowment level itself is finite
 RENT_OVERFLOW = dict(BASE, gamma=2.5, G=3.0, e1=1.0, e2=1.0, T=300)
-# r/P overflows inside detect_bubble
+# P is a vanishing sliver of expenditure: S_{t+1}/P_t overflows at every date
 RENT_PRICE_OVERFLOW = {"beta": 0.33417033411333885, "sigma": 59.43498548196604,
                        "gamma": 1.0, "m": 0.06426911772663384, "G": 1.4291711994071246,
                        "e1": 0.0011615146421400443, "e2": 168.89945081867958, "T": 194}
@@ -583,7 +595,8 @@ RENT_PRICE_OVERFLOW = {"beta": 0.33417033411333885, "sigma": 59.43498548196604,
     ("regimes", GAMMA1_UNDERFLOW, "SolverError", "marginal c_z = 0.0 underflows"),
     ("solve", GAMMA1_UNDERFLOW, "SolverError", "marginal c_z = 0.0 underflows"),
     ("solve", RENT_OVERFLOW, "HorizonError", "(date 449)"),
-    ("solve", RENT_PRICE_OVERFLOW, "DomainError", "positive and finite"),
+    ("solve", RENT_PRICE_OVERFLOW, "HorizonError",
+     "price underflows against expenditure at date 194"),
 ], ids=["gamma1-underflow-regimes", "gamma1-underflow-solve", "rent-scale-overflow",
         "rent-price-overflow"])
 def test_extreme_config_prints_one_json_line_in_a_subprocess(tmp_path, command, doc,
@@ -625,7 +638,6 @@ def _economy_configs():
         },
         optional={
             "terminal": st.sampled_from(["Fundamental", "Bubbly", "Gamma1", "GammaAbove1"]),
-            "tol": st.floats(1e-15, 1e-6, **finite),
             "seed_pad": st.integers(1, 400),
             "lambda": st.floats(0.0, 0.6, **finite),
             "tail_window": st.integers(2, 40),

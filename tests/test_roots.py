@@ -37,15 +37,15 @@ def random_share_states(seed=5):
             share_next_scaled = rng.uniform(1e-4, 0.6)
             z_hat = share_next_scaled + rng.uniform(0.2, 2.0)
             e_y_t = 10.0 ** rng.uniform(0.0, 2.0)
-            rtol = rng.choice((solver._MIN_RTOL, 1e-10))
-            yield agg, housing, share_next_scaled, z_hat, e_y_t, rtol
+            rng.choice((0, 1))  # a retired tolerance draw, kept so the states stay the same
+            yield agg, housing, share_next_scaled, z_hat, e_y_t
 
 
 def assert_matches_scipy(args, share):
-    """The solver's share agrees with scipy's Brent root to both tolerances."""
-    expected = brent_share_root(*args[:6])
+    """The solver's share agrees with scipy's Brent root to twice the tolerance."""
+    expected = brent_share_root(*args[:5])
     assert type(share) is float and 0.0 < share < 1.0
-    assert share == pytest.approx(expected, rel=2 * max(args[5], solver._MIN_RTOL), abs=0.0)
+    assert share == pytest.approx(expected, rel=2 * solver._MIN_RTOL, abs=0.0)
 
 
 def test_share_residual_roots_match_scipy_on_all_branches():
@@ -89,7 +89,7 @@ def errors_in_ulp(args, share):
     Both are measured in Newton's coordinate (log u, or log(1 - u) for
     gamma > 1), from the same float inputs.
     """
-    brent = brent_share_root(*args[:6])
+    brent = brent_share_root(*args[:5])
     upper = args[1].gamma > 1.0
     root = mp_share_root(*args[:5], brent)
     ulp = ulp_in_coordinate(share, upper)

@@ -160,7 +160,7 @@ def test_warm_bracket_keeps_the_representable_floor(share_next_scaled, z_hat):
     # it (a huge z_hat makes c_z/c_y, and with it the resale term, tiny)
     agg = CesAggregator(beta=0.5, sigma=1.0)
     h = HousingUtility(gamma=0.05, m=1e-20)
-    args = (agg, h, share_next_scaled, z_hat, 1e300, solver._MIN_RTOL)
+    args = (agg, h, share_next_scaled, z_hat, 1e300)
     with pytest.raises(SolverError) as expected:
         brent_share_root(*args)
     with pytest.raises(SolverError) as got:
@@ -174,7 +174,7 @@ def test_share_root_pinned_against_full_young_income():
     # where 1 - u rounds to 1 (the test above covers the other end)
     with pytest.raises(SolverError, match="^share root pinned against full young income$"):
         solver._solve_share(CesAggregator(0.5, 1.0), HousingUtility(1.5, 0.1),
-                            0.5, 1.0, 1e80, solver._MIN_RTOL)
+                            0.5, 1.0, 1e80)
 
 
 # ---------------------------------------------------------------- solve_path
@@ -433,19 +433,43 @@ def test_paths_need_few_aggregator_calls(monkeypatch, gamma, e1, e2, terminal, T
     assert path.residuals.max() <= (1e-15 if gamma <= 1.0 else 2e-12)
 
 
+def test_each_date_is_decided_once(monkeypatch):
+    # the long-horizon bubbly configuration: the equation solved for each
+    # date's share also prices it, so one is built per solved date
+    params = make_params(e1=106.387036, e2=93.721941)
+    T = 2000
+    built = [0]
+    original = solver._equation
+
+    def counted(*args):
+        built[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_equation", counted)
+    calls = count_aggregator_calls(monkeypatch)
+    solve_path(params, None, TerminalKind.BUBBLY, T)
+    pad = solver._auto_pad(TerminalKind.BUBBLY, bubbly_steady_state(params).lambda1)
+    assert built[0] == T + pad
+    assert calls[0] <= 2.55 * (T + 1)
+
+
 def test_solve_path_logs_its_root_finding_effort(caplog):
     caplog.set_level(logging.DEBUG, logger="olghousing.solver")
     T = 200
-    solve_path(BUB, None, TerminalKind.BUBBLY, T)
+    path = solve_path(BUB, None, TerminalKind.BUBBLY, T)
     lines = [r.getMessage() for r in caplog.records
              if "aggregator evaluations" in r.getMessage()]
     assert len(lines) == 1
     match = re.fullmatch(r"solve_path: (\d+) aggregator evaluations over (\d+) dates "
-                         r"\(at most (\d+) on one date\), (\d+) safeguard steps", lines[0])
+                         r"\(at most (\d+) on one date\), (\d+) safeguard steps, "
+                         r"largest residual (\S+) at date (\d+)", lines[0])
     assert match, lines[0]
-    total, dates, worst, safeguards = map(int, match.groups())
+    total, dates, worst, safeguards = map(int, match.groups()[:4])
     assert dates > T and dates <= total <= 3 * dates
     assert 1 <= worst <= 10 and safeguards >= 0
+    residual, date = float(match[5]), int(match[6])
+    assert 0 <= date <= T and path.residuals[date] == path.residuals.max()
+    assert residual == float(f"{path.residuals.max():.3g}")
 
 
 def test_error_messages_print_plain_floats():
