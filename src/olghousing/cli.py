@@ -16,10 +16,9 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -72,138 +71,106 @@ class AnnouncementSpec:
     e2: float
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _get_float(data: dict, key: str, *, required: bool = False,
-               default: float | None = None, minimum: float | None = None,
-               exclusive: bool = True, maximum: float | None = None) -> float | None:
+def _read(data: dict, key: str, kind: type, *, above: float | None = None,
+          at_least: float | None = None, below: float | None = None) -> Any:
+    """The ``kind`` (int, or a finite float) at ``data[key]``, within its bounds."""
     if key not in data:
-        if required:
-            raise ConfigError(key, "missing required key")
-        return default
+        raise ConfigError(key, "missing required key")
     value = data[key]
-    if value is None and not required:
-        return default
-    if not _is_number(value) or not math.isfinite(value):
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(key, f"expected an integer, got {value!r}")
+    # an integer beyond the largest float is as far from finite as inf
+    elif (not isinstance(value, (int, float)) or isinstance(value, bool)
+          or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigError(key, f"expected a finite number, got {value!r}")
-    value = float(value)
-    if minimum is not None and (value <= minimum if exclusive else value < minimum):
-        bound = "above" if exclusive else "at least"
-        raise ConfigError(key, f"must be {bound} {minimum}, got {value}")
-    if maximum is not None and value >= maximum:
-        raise ConfigError(key, f"must be below {maximum}, got {value}")
-    return value
-
-
-def _get_int(data: dict, key: str, *, required: bool = False,
-             default: int | None = None, minimum: int | None = None) -> int | None:
-    if key not in data:
-        if required:
-            raise ConfigError(key, "missing required key")
-        return default
-    value = data[key]
-    if value is None and not required:
-        return default
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be at least {minimum}, got {value}")
+    else:
+        value = float(value)
+    if above is not None and value <= above:
+        raise ConfigError(key, f"must be above {above}, got {value}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(key, f"must be at least {at_least}, got {value}")
+    if below is not None and value >= below:
+        raise ConfigError(key, f"must be below {below}, got {value}")
     return value
 
 
 _TERMINAL_NAMES = tuple(k.value for k in TerminalKind)
 
-_KNOWN_KEYS = {
-    "beta", "sigma", "gamma", "m", "G", "e1", "e2",
-    "T", "tail_window", "seed_pad", "delta",
-    "terminal", "announcements", "terminals",
-    "lambda",
-    "gamma_inv_min", "gamma_inv_max", "w_inv_min", "w_inv_max", "resolution",
-}
+
+def _terminal_name(where: str, name: Any, alternatives: str = "") -> str | None:
+    if name is not None and name not in _TERMINAL_NAMES:
+        raise ConfigError(where, f"must be one of {_TERMINAL_NAMES}{alternatives}, got {name!r}")
+    return name
+
+
+def _number(kind: type, default: Any = None, *, key: str | None = None, **bounds: float) -> Any:
+    """A numeric ``RunConfig`` field: its type, default and ``_read`` bounds,
+    read from JSON ``key`` when that is not the field name."""
+    return field(default=default, metadata={"key": key, "kind": kind, "bounds": bounds})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flat configuration for one run."""
+    """Validated flat configuration for one run.
 
-    beta: float | None = None
-    sigma: float | None = None
-    gamma: float | None = None
-    m: float | None = None
-    G: float | None = None
-    e1: float | None = None
-    e2: float | None = None
-    T: int = 200
-    tail_window: int = 20
-    seed_pad: int | None = None
-    delta: float = 1e-3
+    Each field is one JSON key; a numeric field declares its type, default
+    and bounds here and nowhere else. A key that is absent or null takes the
+    default.
+    """
+
+    beta: float | None = _number(float, above=0.0, below=1.0)
+    sigma: float | None = _number(float, above=0.0)
+    gamma: float | None = _number(float, above=0.0)
+    m: float | None = _number(float, above=0.0)
+    G: float | None = _number(float, above=1.0)
+    e1: float | None = _number(float, above=0.0)
+    e2: float | None = _number(float, above=0.0)
+    T: int = _number(int, 200, at_least=1)
+    tail_window: int = _number(int, 20, at_least=2)
+    seed_pad: int | None = _number(int, at_least=1)
+    # the bubble and efficiency verdicts cut tail ratios at 1 - delta, kept positive
+    delta: float = _number(float, 1e-3, above=0.0, below=1.0)
     terminal: str | None = None
     announcements: tuple[AnnouncementSpec, ...] | None = None
     terminals: tuple[str | None, ...] | None = None
-    loan_ratio: float | None = None
-    gamma_inv_min: float | None = None
-    gamma_inv_max: float | None = None
-    w_inv_min: float | None = None
-    w_inv_max: float | None = None
-    resolution: int | None = None
+    loan_ratio: float | None = _number(float, key="lambda", at_least=0.0)
+    gamma_inv_min: float | None = _number(float, above=0.0)
+    gamma_inv_max: float | None = _number(float, above=0.0)
+    w_inv_min: float | None = _number(float, above=0.0)
+    w_inv_max: float | None = _number(float, above=0.0)
+    resolution: int | None = _number(int, at_least=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config", f"expected a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - _KNOWN_KEYS)
+        unknown = sorted(set(data) - _FIELDS.keys())
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
 
-        terminal = data.get("terminal")
-        if terminal is not None and terminal not in _TERMINAL_NAMES:
-            raise ConfigError("terminal", f"must be one of {_TERMINAL_NAMES}, got {terminal!r}")
-
-        announcements = None
+        values = {"terminal": _terminal_name("terminal", data.get("terminal"))}
         if data.get("announcements") is not None:
-            announcements = _parse_announcements(data["announcements"])
-        terminals = None
+            values["announcements"] = _parse_announcements(data["announcements"])
         if data.get("terminals") is not None:
-            raw = data["terminals"]
-            if not isinstance(raw, list):
+            if not isinstance(data["terminals"], list):
                 raise ConfigError("terminals", "expected a list")
-            parsed = []
-            for i, entry in enumerate(raw):
-                if entry is not None and entry not in _TERMINAL_NAMES:
-                    raise ConfigError(f"terminals[{i}]",
-                                      f"must be one of {_TERMINAL_NAMES} or null, got {entry!r}")
-                parsed.append(entry)
-            terminals = tuple(parsed)
+            values["terminals"] = tuple(_terminal_name(f"terminals[{i}]", entry, " or null")
+                                        for i, entry in enumerate(data["terminals"]))
+        for key, spec in _FIELDS.items():
+            if "kind" in spec.metadata and data.get(key) is not None:
+                values[spec.name] = _read(data, key, spec.metadata["kind"],
+                                          **spec.metadata["bounds"])
+        return cls(**values)
 
-        return cls(
-            beta=_get_float(data, "beta", minimum=0.0, maximum=1.0),
-            sigma=_get_float(data, "sigma", minimum=0.0),
-            gamma=_get_float(data, "gamma", minimum=0.0),
-            m=_get_float(data, "m", minimum=0.0),
-            G=_get_float(data, "G", minimum=1.0),
-            e1=_get_float(data, "e1", minimum=0.0),
-            e2=_get_float(data, "e2", minimum=0.0),
-            T=_get_int(data, "T", default=200, minimum=1),
-            tail_window=_get_int(data, "tail_window", default=20, minimum=2),
-            seed_pad=_get_int(data, "seed_pad", minimum=1),
-            delta=_get_float(data, "delta", default=1e-3, minimum=0.0),
-            terminal=terminal,
-            announcements=announcements,
-            terminals=terminals,
-            loan_ratio=_get_float(data, "lambda", minimum=0.0, exclusive=False),
-            gamma_inv_min=_get_float(data, "gamma_inv_min", minimum=0.0),
-            gamma_inv_max=_get_float(data, "gamma_inv_max", minimum=0.0),
-            w_inv_min=_get_float(data, "w_inv_min", minimum=0.0),
-            w_inv_max=_get_float(data, "w_inv_max", minimum=0.0),
-            resolution=_get_int(data, "resolution", minimum=2),
-        )
+    def require(self, *keys: str) -> None:
+        """Raise for the first of these JSON keys that the config leaves unset."""
+        for key in keys:
+            if getattr(self, _FIELDS[key].name) is None:
+                raise ConfigError(key, "missing required key")
 
     def economy(self) -> EconomyParams:
-        for key in ("beta", "sigma", "gamma", "m", "G", "e1", "e2"):
-            if getattr(self, key) is None:
-                raise ConfigError(key, "missing required key")
+        self.require("beta", "sigma", "gamma", "m", "G", "e1", "e2")
         try:
             return EconomyParams(
                 agg=CesAggregator(beta=self.beta, sigma=self.sigma),
@@ -212,6 +179,10 @@ class RunConfig:
             )
         except ModelError as exc:
             raise ConfigError("economy", str(exc)) from exc
+
+
+# JSON key -> RunConfig field, in field order
+_FIELDS = {spec.metadata.get("key") or spec.name: spec for spec in fields(RunConfig)}
 
 
 def _parse_announcements(raw: Any) -> tuple[AnnouncementSpec, ...]:
@@ -226,10 +197,10 @@ def _parse_announcements(raw: Any) -> tuple[AnnouncementSpec, ...]:
         if extra:
             raise ConfigError(f"{where}.{extra[0]}", "unknown announcement key")
         try:
-            announce = _get_int(item, "announce_date", required=True, minimum=0)
-            effective = _get_int(item, "effective_date", required=True, minimum=0)
-            e1 = _get_float(item, "e1", required=True, minimum=0.0)
-            e2 = _get_float(item, "e2", required=True, minimum=0.0)
+            announce = _read(item, "announce_date", int, at_least=0)
+            effective = _read(item, "effective_date", int, at_least=0)
+            e1 = _read(item, "e1", float, above=0.0)
+            e2 = _read(item, "e2", float, above=0.0)
         except ConfigError as exc:
             raise ConfigError(f"{where}.{exc.field}", exc.message) from exc
         if effective < announce:
@@ -334,27 +305,9 @@ def _summarize_path(command: str, cfg: RunConfig, path: EquilibriumPath) -> dict
 
 
 def _steady_state_json(rep) -> dict:
-    doc = {
-        "kind": rep.kind.value,
-        "s_star": rep.s_star,
-        "lambda1": rep.lambda1,
-        "lambda2": rep.lambda2,
-        "determinacy": rep.determinacy.value,
-    }
-    if rep.eis_condition is not None:
-        c = rep.eis_condition
-        doc["eis_condition"] = {
-            "value": c.value, "lower_bound": c.lower_bound,
-            "singular_value": c.singular_value, "holds": c.holds,
-        }
-    if rep.determinacy_condition is not None:
-        c = rep.determinacy_condition
-        doc["determinacy_condition"] = {
-            "inverse_eis": c.inverse_eis, "bound": c.bound, "holds": c.holds,
-        }
-    if rep.warning is not None:
-        doc["warning"] = rep.warning
-    return doc
+    # lambda2 is printed even when None (the one-dimensional gamma = 1 state)
+    return asdict(rep, dict_factory=lambda items: {
+        key: value for key, value in items if value is not None or key == "lambda2"})
 
 
 def _long_run(params: EconomyParams, regime: Regime) -> tuple[dict, dict]:
@@ -416,9 +369,8 @@ def cmd_solve(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
 
 def _belief_paths(cfg: RunConfig) -> tuple[BeliefSchedule, EndowmentPath, list[TerminalKind]]:
     params = cfg.economy()
+    cfg.require("announcements")
     announcements = cfg.announcements
-    if announcements is None:
-        raise ConfigError("announcements", "missing required key")
     if cfg.terminals is not None and len(cfg.terminals) != len(announcements):
         raise ConfigError("terminals",
                           f"got {len(cfg.terminals)} entries for "
@@ -456,8 +408,7 @@ def cmd_scenario(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
 
 def cmd_credit(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     params = cfg.economy()
-    if cfg.loan_ratio is None:
-        raise ConfigError("lambda", "missing required key")
+    cfg.require("lambda")
     transform = credit_transform(params, cfg.loan_ratio)
     path = _solve(cfg, transform.params)
     summary = _summarize_path("credit", cfg, path)
@@ -472,10 +423,8 @@ def cmd_credit(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
 
 
 def _sweep_rows(cfg: RunConfig) -> list[list[str]]:
-    for key in ("beta", "sigma", "m", "G", "gamma_inv_min", "gamma_inv_max",
-                "w_inv_min", "w_inv_max", "resolution"):
-        if getattr(cfg, key) is None:
-            raise ConfigError(key, "missing required key")
+    cfg.require("beta", "sigma", "m", "G", "gamma_inv_min", "gamma_inv_max",
+                "w_inv_min", "w_inv_max", "resolution")
     if not cfg.gamma_inv_max > cfg.gamma_inv_min:
         raise ConfigError("gamma_inv_max", "must exceed gamma_inv_min")
     if not cfg.w_inv_max > cfg.w_inv_min:

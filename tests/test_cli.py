@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import olghousing
-from olghousing.cli import PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig, main
+from olghousing.cli import (_FIELDS, PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig,
+                            main)
 from olghousing.errors import ConfigError
 from test_cli_golden import CASES, CONFIGS, GOLDEN, OUT
 
@@ -73,6 +74,17 @@ def test_config_defaults():
     assert cfg.T == 200
     assert cfg.tail_window == 20
     assert cfg.seed_pad is None
+    assert cfg.delta == 1e-3
+    # null stands for an absent key
+    nulls = dict.fromkeys(["T", "tail_window", "seed_pad", "delta", "terminal",
+                           "announcements", "terminals", "lambda", "resolution"])
+    assert RunConfig.from_dict(dict(BASE, e1=95.0, e2=105.0, **nulls)) == cfg
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for key in _FIELDS:
+        assert f"\n| `{key}` |" in readme, key
 
 
 @pytest.mark.parametrize("patch,field", [
@@ -90,6 +102,8 @@ def test_config_defaults():
     ({"resolution": 1}, "resolution"),
     ({"typo_key": 1.0}, "typo_key"),
     ({"beta": True}, "beta"),
+    ({"delta": 1.5}, "delta"),
+    ({"beta": 10 ** 400}, "beta"),
 ])
 def test_config_field_errors(patch, field):
     doc = dict(BASE, e1=95.0, e2=105.0)
@@ -119,6 +133,101 @@ def test_announcement_validation(announcements, field):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict(doc)
     assert err.value.field == field
+
+
+_NUMBER = "expected a finite number, got"
+_INTEGER = "expected an integer, got"
+
+# numeric key -> (bad value, message) pairs: a wrong type, a bool, out-of-bound values
+NUMERIC_KEY_ERRORS = {
+    "beta": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+             (float("nan"), f"{_NUMBER} nan"),
+             (1.0, "must be below 1.0, got 1.0"), (0, "must be above 0.0, got 0.0")],
+    "sigma": [([1.0], f"{_NUMBER} [1.0]"), (True, f"{_NUMBER} True"),
+              (-1.0, "must be above 0.0, got -1.0")],
+    "gamma": [("half", f"{_NUMBER} 'half'"), (False, f"{_NUMBER} False"),
+              (0.0, "must be above 0.0, got 0.0")],
+    "m": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+          (-0.5, "must be above 0.0, got -0.5")],
+    "G": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+          (1.0, "must be above 1.0, got 1.0")],
+    "e1": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+           (0.0, "must be above 0.0, got 0.0")],
+    "e2": [({}, f"{_NUMBER} {{}}"), (True, f"{_NUMBER} True"),
+           (float("inf"), f"{_NUMBER} inf"), (-2.0, "must be above 0.0, got -2.0")],
+    "T": [(2.5, f"{_INTEGER} 2.5"), ("10", f"{_INTEGER} '10'"), (True, f"{_INTEGER} True"),
+          (0, "must be at least 1, got 0")],
+    "tail_window": [(20.0, f"{_INTEGER} 20.0"), (True, f"{_INTEGER} True"),
+                    (1, "must be at least 2, got 1")],
+    "seed_pad": [(2.5, f"{_INTEGER} 2.5"), (True, f"{_INTEGER} True"),
+                 (0, "must be at least 1, got 0")],
+    "delta": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+              (0.0, "must be above 0.0, got 0.0"), (1.5, "must be below 1.0, got 1.5")],
+    "lambda": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+               (-0.1, "must be at least 0.0, got -0.1")],
+    "gamma_inv_min": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+                      (0.0, "must be above 0.0, got 0.0")],
+    "gamma_inv_max": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+                      (-1.0, "must be above 0.0, got -1.0")],
+    "w_inv_min": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+                  (0, "must be above 0.0, got 0.0")],
+    "w_inv_max": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
+                  (0.0, "must be above 0.0, got 0.0")],
+    "resolution": [(2.5, f"{_INTEGER} 2.5"), (True, f"{_INTEGER} True"),
+                   (1, "must be at least 2, got 1")],
+}
+
+_TERMINAL_NAMES = "('Fundamental', 'Bubbly', 'Gamma1', 'GammaAbove1')"
+_ANNOUNCED = [{"announce_date": 0, "effective_date": 0, "e1": 95.0, "e2": 105.0},
+              {"announce_date": 40, "effective_date": 40, "e1": 105.0, "e2": 95.0}]
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+ERROR_LINES = [
+    *(pytest.param("solve", dict(BUB, **{key: value}), key, message, id=f"{key}-{i}")
+      for key, cases in NUMERIC_KEY_ERRORS.items() for i, (value, message) in enumerate(cases)),
+    pytest.param("scenario", dict(BUB, T=120, announcements=[
+        _ANNOUNCED[0], dict(_ANNOUNCED[1], e1=None)]),
+        "announcements[1].e1", f"{_NUMBER} None", id="null-announcement-e1"),
+    pytest.param("scenario", dict(BUB, T=120, announcements=[
+        _ANNOUNCED[0], dict(_ANNOUNCED[1], announce_date=None)]),
+        "announcements[1].announce_date", f"{_INTEGER} None", id="null-announce-date"),
+    pytest.param("solve", dict(BUB, typo_key=1.0), "typo_key", "unknown configuration key",
+                 id="unknown-key"),
+    pytest.param("solve", [BUB], "config", "expected a JSON object, got list", id="not-an-object"),
+    pytest.param("regimes", _without(BUB, "beta"), "beta", "missing required key",
+                 id="regimes-missing-beta"),
+    pytest.param("solve", _without(BUB, "e1"), "e1", "missing required key",
+                 id="solve-missing-e1"),
+    pytest.param("scenario", BUB, "announcements", "missing required key",
+                 id="scenario-missing-announcements"),
+    pytest.param("credit", BUB, "lambda", "missing required key", id="credit-missing-lambda"),
+    pytest.param("sweep", _without(SWEEP, "resolution"), "resolution", "missing required key",
+                 id="sweep-missing-resolution"),
+    pytest.param("solve", dict(BUB, terminal="Forever", beta=2.0), "terminal",
+                 f"must be one of {_TERMINAL_NAMES}, got 'Forever'", id="terminal-before-beta"),
+    pytest.param("scenario", dict(BUB, terminal=["Bubbly"], announcements=[]), "terminal",
+                 f"must be one of {_TERMINAL_NAMES}, got ['Bubbly']",
+                 id="terminal-before-announcements"),
+    pytest.param("scenario", dict(BUB, announcements=[], terminals=5), "announcements",
+                 "expected a non-empty list", id="announcements-before-terminals"),
+    pytest.param("scenario", dict(BUB, terminals="Bubbly", beta=2.0), "terminals",
+                 "expected a list", id="terminals-before-beta"),
+    pytest.param("scenario", dict(BUB, terminals=["Bubbly", "Forever"]), "terminals[1]",
+                 f"must be one of {_TERMINAL_NAMES} or null, got 'Forever'", id="terminals-entry"),
+]
+
+
+@pytest.mark.parametrize("command,doc,field,message", ERROR_LINES)
+def test_rejected_config_prints_its_exact_error_line(tmp_path, capsys, command, doc, field,
+                                                     message):
+    code, out, err = run_main(capsys, [command, "--config", write_config(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == ('{"error": "ConfigError", "field": "%s", "message": "%s: %s"}\n'
+                   % (field, field, message))
 
 
 # ---------------------------------------------------------------- regimes
@@ -623,37 +732,78 @@ def test_diverging_rent_price_sum_prints_no_warning_in_a_subprocess(tmp_path):
 
 # ---------------------------------------------------------------- error contract fuzz
 
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_LEVELS = st.floats(-3.0, 3.0, **_FINITE).map(lambda e: 10.0 ** e)
+_TERMINAL_KINDS = ["Fundamental", "Bubbly", "Gamma1", "GammaAbove1"]
+_ECONOMY_KEYS = ["beta", "sigma", "gamma", "m", "G", "e1", "e2"]
+
+# the keys each command cannot run without
+_REQUIRED = {
+    "regimes": _ECONOMY_KEYS,
+    "solve": _ECONOMY_KEYS,
+    "credit": _ECONOMY_KEYS + ["lambda"],
+    "scenario": _ECONOMY_KEYS + ["announcements"],
+    "sweep": ["beta", "sigma", "m", "G", "gamma_inv_min", "gamma_inv_max",
+              "w_inv_min", "w_inv_max", "resolution"],
+}
+
+
 def _economy_configs():
-    finite = dict(allow_nan=False, allow_infinity=False)
     return st.fixed_dictionaries(
         {
-            "beta": st.floats(0.05, 0.95, **finite),
-            "sigma": st.one_of(st.just(1.0), st.floats(0.05, 60.0, **finite)),
-            "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **finite)),
-            "m": st.floats(-12.0, 10.0, **finite).map(lambda e: 10.0 ** e),
-            "G": st.floats(1.01, 3.2, **finite),
-            "e1": st.floats(-3.0, 3.0, **finite).map(lambda e: 10.0 ** e),
-            "e2": st.floats(-3.0, 3.0, **finite).map(lambda e: 10.0 ** e),
+            "beta": st.floats(0.05, 0.95, **_FINITE),
+            "sigma": st.one_of(st.just(1.0), st.floats(0.05, 60.0, **_FINITE)),
+            "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **_FINITE)),
+            "m": st.floats(-12.0, 10.0, **_FINITE).map(lambda e: 10.0 ** e),
+            "G": st.floats(1.01, 3.2, **_FINITE),
+            "e1": _LEVELS,
+            "e2": _LEVELS,
             "T": st.integers(1, 300),
         },
         optional={
-            "terminal": st.sampled_from(["Fundamental", "Bubbly", "Gamma1", "GammaAbove1"]),
+            "terminal": st.sampled_from(_TERMINAL_KINDS),
             "seed_pad": st.integers(1, 400),
-            "lambda": st.floats(0.0, 0.6, **finite),
+            "lambda": st.floats(0.0, 0.6, **_FINITE),
             "tail_window": st.integers(2, 40),
+            "delta": st.floats(1e-6, 0.5, **_FINITE),
         },
     )
 
 
 @st.composite
 def _runs(draw):
-    command = draw(st.sampled_from(["solve", "regimes", "credit"]))
+    command = draw(st.sampled_from(["solve", "regimes", "credit", "scenario", "sweep"]))
     doc = draw(_economy_configs())
     if command == "credit":
         # the credit economy is defined for gamma < 1 and infers its terminal
         doc.pop("terminal", None)
         doc["gamma"] = draw(st.floats(0.1, 0.95, allow_nan=False))
         doc["lambda"] = draw(st.floats(0.0, 0.6, allow_nan=False))
+    elif command == "scenario":
+        doc["T"] = draw(st.integers(1, 120))
+        announcements = [{"announce_date": 0, "effective_date": 0,
+                          "e1": doc["e1"], "e2": doc["e2"]}]
+        # revisions in the first half leave room for the tail window after the last one
+        revisions = st.lists(st.integers(1, max(doc["T"] // 2, 1)), max_size=2, unique=True)
+        for date in sorted(draw(revisions)):
+            # news may come up to 10 dates early, after the previous announcement
+            early = draw(st.integers(0, 10))
+            announcements.append({
+                "announce_date": max(announcements[-1]["announce_date"] + 1, date - early),
+                "effective_date": date, "e1": draw(_LEVELS), "e2": draw(_LEVELS)})
+        doc["announcements"] = announcements
+        if draw(st.booleans()):
+            doc["terminals"] = [draw(st.none() | st.sampled_from(_TERMINAL_KINDS))
+                                for _ in doc["announcements"]]
+    elif command == "sweep":
+        doc = {key: doc[key] for key in ("beta", "sigma", "m", "G")}
+        for axis in ("gamma_inv", "w_inv"):
+            low = draw(st.floats(0.3, 3.0, **_FINITE))
+            doc[f"{axis}_min"] = low
+            doc[f"{axis}_max"] = low + draw(st.floats(0.0, 2.0, **_FINITE))
+        doc["resolution"] = draw(st.integers(2, 4))
+    if draw(st.integers(0, 3)) == 3:
+        del doc[draw(st.sampled_from(_REQUIRED[command]))]
     return command, doc
 
 
