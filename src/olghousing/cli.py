@@ -82,7 +82,7 @@ def _read(data: dict, key: str, kind: type, *, above: float | None = None,
             raise ConfigError(key, f"expected an integer, got {value!r}")
     # an integer beyond the largest float is as far from finite as inf
     elif (not isinstance(value, (int, float)) or isinstance(value, bool)
-          or not -sys.float_info.max <= value <= sys.float_info.max):
+          or not abs(value) <= sys.float_info.max):
         raise ConfigError(key, f"expected a finite number, got {value!r}")
     else:
         value = float(value)
