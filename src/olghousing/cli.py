@@ -139,7 +139,8 @@ class RunConfig:
     gamma_inv_max: float | None = _number(float, above=0.0)
     w_inv_min: float | None = _number(float, above=0.0)
     w_inv_max: float | None = _number(float, above=0.0)
-    resolution: int | None = _number(int, at_least=2)
+    # at most 1000 points per axis: a million cells, each about 0.1 ms
+    resolution: int | None = _number(int, at_least=2, below=1001)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -251,9 +252,7 @@ def _float_cell(value: float) -> str:
 
 def _path_rows(path: EquilibriumPath, cell: Callable[[float], Any]) -> list[list]:
     """Per-date records in ``PATH_HEADER`` order, each float passed through ``cell``."""
-    floats = zip(*(column.tolist() for column in (
-        path.e_y, path.e_o, path.S, path.s, path.P, path.r, path.R, path.q,
-        path.c_y, path.c_o)))
+    floats = zip(*(getattr(path, name).tolist() for name in PATH_HEADER[1:-1]))
     return [[t, *map(cell, values), belief]
             for t, (values, belief) in enumerate(zip(floats, path.belief_index.tolist()))]
 
@@ -512,7 +511,8 @@ def _load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a syntax error (JSONDecodeError), or an integer of more than 4300 digits
+    except ValueError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     return RunConfig.from_dict(data)
 

@@ -45,8 +45,7 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 # the gamma = 1 steady-state share must lie strictly inside (edge, 1 - edge)
 _GAMMA1_EDGE = 1e-12
-# relative tolerance (as a step in log s) and evaluation cap of its root solve
-_GAMMA1_XTOL = 9e-16
+# evaluation cap of its root solve
 _GAMMA1_MAX_EVALUATIONS = 200
 
 
@@ -391,7 +390,7 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
         return (resale - spent) + rent, slope, max(resale, spent, rent)
 
     lo = math.log(_GAMMA1_EDGE)
-    x, dx, _, _ = newton(foc, math.log(0.5), lo, 0.0, _GAMMA1_XTOL, _GAMMA1_MAX_EVALUATIONS)
+    x, dx, _, _ = newton(foc, math.log(0.5), lo, 0.0, _GAMMA1_MAX_EVALUATIONS)
     if x + dx <= lo:
         raise SolverError(f"gamma = 1 steady-state share lies at or below {_GAMMA1_EDGE:g}")
     # the final correction applied to s directly, so it is not rounded away

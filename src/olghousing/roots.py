@@ -21,10 +21,12 @@ _MAX_STEP = 700.0
 _LOG_8 = math.log(8.0)
 # |f| at or below this multiple of the largest term is as small as rounding allows
 _RESIDUAL_RTOL = 4e-15
+# a step in x at or below this ends the iteration: about 4 ulp relative in log coordinates
+_XTOL = 9e-16
 
 
 def newton(f: Callable[[float], tuple[float, float, float]], x: float,
-           lo: float, hi: float, xtol: float, maxiter: int) -> tuple[float, float, int, int]:
+           lo: float, hi: float, maxiter: int) -> tuple[float, float, int, int]:
     """Root of a strictly decreasing ``f`` in ``[lo, hi)``, by Newton steps from ``x``.
 
     ``f(x)`` returns ``(value, slope, scale)``: f, its derivative, and the
@@ -37,9 +39,9 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
     are known, at most half the previous step. Otherwise the step bisects
     the bracket or, while no point below the root is known, moves down by
     ``ln 8`` (not past ``lo``). The iteration stops when ``|value| <=
-    4e-15*scale`` (for a finite scale) or the Newton step is at most ``xtol``, and then keeps
+    4e-15*scale`` (for a finite scale) or the Newton step is at most 9e-16, and then keeps
     that step as a final correction, which costs no evaluation; or when the
-    step actually taken is at most ``xtol`` (zero once the iterate no longer
+    step actually taken is at most 9e-16 (zero once the iterate no longer
     moves).
 
     Returns ``(x, dx, evaluations, safeguard steps)``: the root is
@@ -67,7 +69,7 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
         dx = value / -slope if slope < 0.0 else math.copysign(math.inf, value)
         step = x + dx
         # an overflowing term gives an infinite scale, against which no value is small
-        if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= xtol:
+        if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= _XTOL:
             return x, (dx if below < step < above else 0.0), evaluations, safeguards
         if not (below < step < above and abs(dx) < _MAX_STEP
                 and (below == -math.inf or abs(dx) <= 0.5 * last)):
@@ -75,7 +77,7 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
             step = 0.5 * (below + above) if below > -math.inf else x - _LOG_8
         step = max(step, lo)
         last = abs(step - x)
-        if last <= xtol:
+        if last <= _XTOL:
             return x, step - x, evaluations, safeguards
         x = step
     raise SolverError(f"root finder: no convergence after {maxiter} iterations, last x={x!r}")

@@ -20,8 +20,9 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,8 +50,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# relative tolerance of the share root solve: about 4 ulp
-_MIN_RTOL = 9e-16
 # a share root below this counts as unrepresentable
 _TINY_SHARE = 1e-300
 # the share root is sought in x = log u (gamma <= 1) or x = log(1 - u)
@@ -195,36 +194,59 @@ class BeliefSchedule:
 class EquilibriumPath:
     """A solved equilibrium on dates 0..T (all arrays have length T+1).
 
-    ``S`` is housing expenditure, ``s`` its share of young income, ``P``
-    the house price, ``r`` the rent, ``R`` the gross interest rate between
-    t and t+1, ``q`` the date-0 present-value price, ``c_y``/``c_o``
-    young and old consumption, and ``belief_index`` the index of the belief
-    active at each date (all zeros for a plain solve). ``residuals`` holds
-    the relative equilibrium-equation error at each date, computed under
-    the belief active there. ``balanced_from`` is the first date of the
-    final balanced-growth segment of the realized endowments.
+    Stored as solved, under the belief active at each date (``belief_index``,
+    all zeros for a plain solve): endowments ``e_y``/``e_o``, the share ``s``
+    of young income spent on housing, the price ``P``, the rent ``r`` and the
+    relative equation error ``residuals``; ``S_after`` is the expenditure at
+    T+1 under the belief active at T. The rest follows from the identities,
+    once, on first use: expenditure ``S = s*e_y``, consumption ``c_y = e_y - S``
+    and ``c_o = e_o + S``, the gross interest rate ``R_t = S_{t+1}/P_t`` (no
+    arbitrage; across a revision it uses the post-revision expenditure), the
+    date-0 present-value price ``q`` chained through R, and ``balanced_from``,
+    the first date of the realized endowments' final balanced-growth segment.
     """
 
     e_y: np.ndarray
     e_o: np.ndarray
-    S: np.ndarray
     s: np.ndarray
     P: np.ndarray
     r: np.ndarray
-    R: np.ndarray
-    q: np.ndarray
-    c_y: np.ndarray
-    c_o: np.ndarray
     belief_index: np.ndarray
     residuals: np.ndarray
     terminal_kind: TerminalKind
     endowments: EndowmentPath
-    balanced_from: int
-    revision_dates: tuple[int, ...] = field(default_factory=tuple)
+    S_after: float
+    revision_dates: tuple[int, ...] = ()
 
     @property
     def T(self) -> int:
-        return len(self.S) - 1
+        return len(self.s) - 1
+
+    @property
+    def balanced_from(self) -> int:
+        return self.endowments.balanced_from
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.s * self.e_y
+
+    @cached_property
+    def c_y(self) -> np.ndarray:
+        return self.e_y - self.S
+
+    @cached_property
+    def c_o(self) -> np.ndarray:
+        return self.e_o + self.S
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return np.append(self.S[1:], self.S_after) / self.P
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        # q_0 = 1 and q_{t+1} = q_t / R_t, divided in date order: 1/cumprod(R)
+        # rounds differently
+        return np.divide.accumulate(np.append(1.0, self.R[:-1]))
 
 
 def _equation(agg: CesAggregator, housing: HousingUtility,
@@ -306,7 +328,7 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     x = math.log(near)
     lo, hi = (_FLOOR_LOG_Y if upper else _FLOOR_LOG_U) - x, -x
     d, dx, evaluations, safeguards = newton(f, min(max(step, lo), 0.5 * hi), lo, hi,
-                                            _MIN_RTOL, _MAX_NEWTON)
+                                            _MAX_NEWTON)
     # the final correction moves the last evaluated point's w by the factor
     # e^dx; applied to w and u directly, it is not rounded away
     u, y = point(d)
@@ -339,55 +361,46 @@ def backward_step(housing: HousingUtility, agg: CesAggregator,
 
 
 def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
-                   terminal: TerminalKind) -> tuple[float, float | None]:
-    """Terminal share seed and the slope ``lambda1`` at its steady state."""
-    gamma = params.housing.gamma
-    terminal = TerminalKind(terminal)
-    fin = endowments.final_params(params)
-    if gamma < 1.0:
-        if terminal is TerminalKind.FUNDAMENTAL:
-            return 0.0, fundamental_steady_state(fin).lambda1
-        if terminal is TerminalKind.BUBBLY:
-            rep = bubbly_steady_state(fin)
-            return rep.s_star, rep.lambda1
-        raise BranchError(
-            f"terminal {terminal.value} is not admissible for gamma < 1; "
-            "choose Fundamental or Bubbly"
-        )
-    if gamma == 1.0:
-        if terminal is not TerminalKind.GAMMA1:
-            raise BranchError("gamma == 1 admits only the Gamma1 terminal")
-        rep = gamma1_steady_state(fin)
-        return rep.s_star, rep.lambda1
-    if terminal is not TerminalKind.GAMMA_ABOVE_1:
-        raise BranchError("gamma > 1 admits only the GammaAbove1 terminal")
-    return 1.0 - 1e-6, None
+                   terminal: TerminalKind) -> tuple[float, float | None, int]:
+    """Terminal share seed, the slope ``lambda1`` at its steady state, and the pad.
 
-
-def _auto_pad(terminal: TerminalKind, lambda1: float | None) -> int:
-    """Distance beyond the horizon at which the terminal seed is planted.
-
+    The pad is the distance beyond the horizon at which the seed is planted.
     The backward recursion contracts seed error by 1/|lambda1| per step, so
     around 28 e-foldings leave a relative error of about e^-28 ~ 6.9e-13 at
     date T, not machine precision: tripling this pad moves a fundamental
     path's s_T (seeded at 0) by 6.2-6.8e-13. The seed is always at least
     one period beyond the horizon so every returned date has a successor.
     """
-    if terminal is TerminalKind.GAMMA_ABOVE_1:
-        return 150
-    if terminal is TerminalKind.GAMMA1:
-        return 1
-    if lambda1 is None or abs(lambda1) <= 1.0 + 1e-12:
-        return 1
-    pad = math.ceil(28.0 / math.log(abs(lambda1)))
-    return min(max(pad, 60), 5000)
+    gamma = params.housing.gamma
+    terminal = TerminalKind(terminal)
+    fin = endowments.final_params(params)
+    if gamma < 1.0:
+        if terminal is TerminalKind.FUNDAMENTAL:
+            seed, lambda1 = 0.0, fundamental_steady_state(fin).lambda1
+        elif terminal is TerminalKind.BUBBLY:
+            rep = bubbly_steady_state(fin)
+            seed, lambda1 = rep.s_star, rep.lambda1
+        else:
+            raise BranchError(
+                f"terminal {terminal.value} is not admissible for gamma < 1; "
+                "choose Fundamental or Bubbly"
+            )
+        if not abs(lambda1) > 1.0 + 1e-12:
+            return seed, lambda1, 1
+        return seed, lambda1, min(max(math.ceil(28.0 / math.log(abs(lambda1))), 60), 5000)
+    if gamma == 1.0:
+        if terminal is not TerminalKind.GAMMA1:
+            raise BranchError("gamma == 1 admits only the Gamma1 terminal")
+        rep = gamma1_steady_state(fin)
+        return rep.s_star, rep.lambda1, 1
+    if terminal is not TerminalKind.GAMMA_ABOVE_1:
+        raise BranchError("gamma > 1 admits only the GammaAbove1 terminal")
+    return 1.0 - 1e-6, None, 150
 
 
 def _price_date(terms: Callable[..., tuple], u: float, S_next: float, e_y_t: float,
-                t: int) -> tuple[float, float, float, float]:
-    """``(P, r, R, residual)`` at a solved date, from the equation solved there."""
-    if not 0.0 < u < 1.0:
-        raise HorizonError(f"expenditure share left (0, 1) at date {t}: {u!r}")
+                t: int) -> tuple[float, float, float]:
+    """``(P, r, residual)`` at a solved date, from the equation solved there."""
     a, b, rent, _, cy, cz = terms(u, 1.0 - u)
     # price and rent from their own first-order conditions; this avoids
     # the cancellation in S - r when the price is a sliver of S, and in
@@ -403,13 +416,12 @@ def _price_date(terms: Callable[..., tuple], u: float, S_next: float, e_y_t: flo
         raise HorizonError(
             f"rent underflows below the normal float range at date {t}: r={rent_level!r}"
         )
-    rate = S_next / price
-    if rate == math.inf:
+    if S_next / price == math.inf:
         raise HorizonError(
             f"house price underflows against expenditure at date {t}: P={price!r}, "
             f"S_next={S_next!r}, so the interest rate S_next/P is infinite"
         )
-    return price, rent_level, rate, abs(a - b + rent) / max(a, b, rent)
+    return price, rent_level, abs(a - b + rent) / max(a, b, rent)
 
 
 def solve_path(params: EconomyParams,
@@ -423,7 +435,7 @@ def solve_path(params: EconomyParams,
     of the requested long run, ``pad`` periods beyond T (automatic unless
     ``seed_pad`` is given), then walks the equilibrium equation backwards.
     Each date's equation is built once: on dates 0..T the one solved for
-    the share also gives the price, rent, interest rate and residual.
+    the share also gives the price, rent and residual.
 
     Raises a regime error when the final segment does not admit the
     requested terminal, and a horizon error when the horizon precedes the
@@ -440,8 +452,9 @@ def solve_path(params: EconomyParams,
             f"starting at {endowments.balanced_from}"
         )
     terminal = TerminalKind(terminal)
-    seed_share, lambda1 = _terminal_seed(params, endowments, terminal)
-    pad = _auto_pad(terminal, lambda1) if seed_pad is None else max(int(seed_pad), 1)
+    seed_share, lambda1, pad = _terminal_seed(params, endowments, terminal)
+    if seed_pad is not None:
+        pad = max(int(seed_pad), 1)
     t_seed = T + pad
     log.debug(
         "solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s",
@@ -456,7 +469,7 @@ def solve_path(params: EconomyParams,
     n = T + 1
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
-    P, r, R, residuals = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    P, r, residuals = [0.0] * n, [0.0] * n, [0.0] * n
     # each date starts from the next date's root, stepped on by the change
     # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
     # linear extrapolation; a zero seed leaves the first date to the cold start
@@ -484,7 +497,7 @@ def solve_path(params: EconomyParams,
         if calls > worst:
             worst = calls
         if t < n:
-            P[t], r[t], R[t], residuals[t] = _price_date(terms, u, S_next, e_y[t], t)
+            P[t], r[t], residuals[t] = _price_date(terms, u, S_next, e_y[t], t)
     residuals = np.array(residuals)
     worst_date = int(residuals.argmax())
     log.debug(
@@ -493,26 +506,15 @@ def solve_path(params: EconomyParams,
         evaluations, t_seed, worst, safeguards, residuals[worst_date], worst_date,
     )
 
-    e_y, e_o, s = np.array(e_y[:n]), np.array(e_o[:n]), np.array(shares[:n])
-    S = s * e_y
     return EquilibriumPath(
-        e_y=e_y, e_o=e_o, S=S, s=s, P=np.array(P), r=np.array(r), R=np.array(R),
-        q=_present_value(R),
-        c_y=e_y - S, c_o=e_o + S,
+        e_y=np.array(e_y[:n]), e_o=np.array(e_o[:n]), s=np.array(shares[:n]),
+        P=np.array(P), r=np.array(r),
         belief_index=np.zeros(n, dtype=int),
         residuals=residuals,
         terminal_kind=terminal,
         endowments=endowments,
-        balanced_from=endowments.balanced_from,
+        S_after=shares[n] * e_y[n],
     )
-
-
-def _present_value(R: Sequence[float]) -> np.ndarray:
-    """Date-0 prices ``q`` chained through the gross interest rates ``R``."""
-    q = [1.0]
-    for rate in R[:-1]:
-        q.append(q[-1] / rate)
-    return np.array(q)
 
 
 def solve_scenario(params: EconomyParams,
@@ -563,17 +565,11 @@ def solve_scenario(params: EconomyParams,
     def pick(attr: str) -> np.ndarray:
         return np.stack([getattr(p, attr) for p in paths])[active, np.arange(n)]
 
-    e_y, e_o, S, s, P, r, c_y, c_o, residuals = map(
-        pick, ("e_y", "e_o", "S", "s", "P", "r", "c_y", "c_o", "residuals"))
-    R = np.append(S[1:] / P[:-1], paths[active[T]].R[T])
-    q = _present_value(R.tolist())
     return EquilibriumPath(
-        e_y=e_y, e_o=e_o, S=S, s=s, P=P, r=r, R=R, q=q,
-        c_y=c_y, c_o=c_o,
+        **{name: pick(name) for name in ("e_y", "e_o", "s", "P", "r", "residuals")},
         belief_index=active,
-        residuals=residuals,
         terminal_kind=TerminalKind(terminals[-1]),
         endowments=realized,
-        balanced_from=realized.balanced_from,
+        S_after=paths[active[T]].S_after,
         revision_dates=tuple(a for a, _ in announcements[1:]),
     )

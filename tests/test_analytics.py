@@ -1,4 +1,5 @@
 """Tests for bubble detection, efficiency classification, and tail growth."""
+import dataclasses
 import math
 
 import numpy as np
@@ -81,26 +82,21 @@ def test_tail_growth_validation():
 # ---------------------------------------------------------------- detect_bubble
 
 def synthetic_path(P, r, T_max=None):
-    """Wrap explicit price and rent series in a path object."""
+    """Wrap explicit price and rent series in a path object.
+
+    Half of young income buys the house, so S = P + r, and the last
+    interest rate repeats the one before it.
+    """
     P = np.asarray(P, dtype=float)
     r = np.asarray(r, dtype=float)
     T = len(P) - 1
-    R = np.empty(T + 1)
-    R[:T] = (P[1:] + r[1:]) / P[:T]
-    R[T] = R[T - 1]
-    q = np.empty(T + 1)
-    q[0] = 1.0
-    for t in range(T):
-        q[t + 1] = q[t] / R[t]
-    ones = np.ones(T + 1)
     return EquilibriumPath(
-        e_y=ones, e_o=ones, S=P + r, s=0.5 * ones, P=P, r=r, R=R, q=q,
-        c_y=ones, c_o=ones,
+        e_y=2.0 * (P + r), e_o=np.ones(T + 1), s=np.full(T + 1, 0.5), P=P, r=r,
         belief_index=np.zeros(T + 1, dtype=int),
         residuals=np.zeros(T + 1),
         terminal_kind=TerminalKind.BUBBLY,
         endowments=EndowmentPath((Segment(0, 1.0, 1.0, 2.0),), T_max or T),
-        balanced_from=0,
+        S_after=(P[T] + r[T]) / P[T - 1] * P[T],
     )
 
 
@@ -217,11 +213,7 @@ def test_detect_bubble_window_validation(fund_path):
 def test_detect_bubble_rejects_nonpositive_price():
     P = 2.0 ** np.arange(41)
     path = synthetic_path(P, np.ones(41))
-    broken = EquilibriumPath(
-        **{**{f: getattr(path, f) for f in (
-            "e_y", "e_o", "S", "s", "r", "R", "q", "c_y", "c_o",
-            "belief_index", "residuals", "terminal_kind", "endowments",
-            "balanced_from")}, "P": P - 2.0})
+    broken = dataclasses.replace(path, P=P - 2.0)
     with pytest.raises(DomainError):
         detect_bubble(broken)
 

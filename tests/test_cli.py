@@ -174,7 +174,8 @@ NUMERIC_KEY_ERRORS = {
     "w_inv_max": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
                   (0.0, "must be above 0.0, got 0.0")],
     "resolution": [(2.5, f"{_INTEGER} 2.5"), (True, f"{_INTEGER} True"),
-                   (1, "must be at least 2, got 1")],
+                   (1, "must be at least 2, got 1"), (1001, "must be below 1001, got 1001"),
+                   (10 ** 400, f"must be below 1001, got {10 ** 400}")],
 }
 
 _TERMINAL_NAMES = "('Fundamental', 'Bubbly', 'Gamma1', 'GammaAbove1')"
@@ -530,6 +531,19 @@ def test_invalid_json_config(tmp_path, capsys):
     code, _, err = run_main(capsys, ["solve", "--config", str(path)])
     assert code == 2
     assert json.loads(err)["field"] == "config"
+
+
+def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
+    # json.dumps cannot render an integer of more than 4300 digits, and
+    # json.load refuses to parse one
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_without(BUB, "T"))[:-1] + ', "T": 1' + "0" * 4999 + "}")
+    code, out, err = run_main(capsys, ["regimes", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and payload["field"] == "config"
+    assert payload["message"].startswith(f"config: invalid JSON in {path}: ")
 
 
 def test_csv_round_trip_is_bit_for_bit(tmp_path, capsys):

@@ -56,6 +56,7 @@ CASES = {
     "solve-json": ("solve", "necessity", ["--format", "json"]),
     "solve-out": ("solve", "necessity", ["--out", OUT]),
     "solve-fundamental": ("solve", "fundamental", []),
+    "solve-fundamental-json": ("solve", "fundamental", ["--format", "json"]),
     "solve-gamma1": ("solve", "gamma1", ["--format", "json"]),
     "solve-gamma-above-1": ("solve", "gamma_above_1", ["--format", "json"]),
     "scenario-csv": ("scenario", "scenario", ["--format", "csv"]),
@@ -118,6 +119,11 @@ GOLDEN = {
     ),
     "solve-fundamental": (0,
         "ee4c7173769eede42159340b2561c8d79b60562f38c3f596cb5cb15d951c2c39",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "solve-fundamental-json": (0,
+        "2dec6a3490a9cf8767d45e39999ab29f932aef073c10b7de60febf05911993fe",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),

@@ -448,7 +448,8 @@ def test_each_date_is_decided_once(monkeypatch):
     monkeypatch.setattr(solver, "_equation", counted)
     calls = count_aggregator_calls(monkeypatch)
     solve_path(params, None, TerminalKind.BUBBLY, T)
-    pad = solver._auto_pad(TerminalKind.BUBBLY, bubbly_steady_state(params).lambda1)
+    pad = solver._terminal_seed(params, EndowmentPath.from_params(params, T),
+                                TerminalKind.BUBBLY)[2]
     assert built[0] == T + pad
     assert calls[0] <= 2.55 * (T + 1)
 
