@@ -30,12 +30,9 @@ from .regimes import (
     EconomyParams,
     LongRunKind,
     Regime,
-    RegimeTag,
-    bubbly_steady_state,
     classify,
     credit_transform,
-    fundamental_steady_state,
-    gamma1_steady_state,
+    steady_state,
     welfare_class,
 )
 from .solver import (
@@ -225,7 +222,7 @@ def _parse_announcements(raw: Any) -> tuple[AnnouncementSpec, ...]:
 
 def _infer_terminal(params: EconomyParams, explicit: str | None,
                     field: str = "terminal") -> TerminalKind:
-    """Pick the terminal kind the regime admits, or demand an explicit one."""
+    """Pick the one long run the regime lists, or demand an explicit terminal."""
     if explicit is not None:
         return TerminalKind(explicit)
     regime = classify(params)
@@ -233,17 +230,11 @@ def _infer_terminal(params: EconomyParams, explicit: str | None,
         raise ConfigError(field,
                           f"income ratio sits on the {regime.boundary} boundary; "
                           "specify the terminal explicitly")
-    mapping = {
-        RegimeTag.FUNDAMENTAL: TerminalKind.FUNDAMENTAL,
-        RegimeTag.BUBBLE_NECESSITY: TerminalKind.BUBBLY,
-        RegimeTag.COBB_DOUGLAS_FUNDAMENTAL: TerminalKind.GAMMA1,
-        RegimeTag.PATHOLOGICAL_GAMMA_ABOVE_1: TerminalKind.GAMMA_ABOVE_1,
-    }
-    if regime.tag in mapping:
-        return mapping[regime.tag]
-    raise ConfigError(field,
-                      "both fundamental and bubbly long runs exist in the "
-                      "BubblePossibility regime; specify the terminal explicitly")
+    if len(regime.long_runs) > 1:
+        raise ConfigError(field,
+                          "both fundamental and bubbly long runs exist in the "
+                          "BubblePossibility regime; specify the terminal explicitly")
+    return regime.long_runs[0]
 
 
 def _float_cell(value: float) -> str:
@@ -310,28 +301,22 @@ def _steady_state_json(rep) -> dict:
 
 
 def _long_run(params: EconomyParams, regime: Regime) -> tuple[dict, dict]:
-    """Steady states that exist, and the welfare verdict name per long-run kind.
+    """Steady state per listed long run, and the welfare verdict name per long-run kind.
 
-    Keys are "fundamental" and "bubbly" for gamma < 1 (a verdict is None
-    where that long run cannot exist) and "gamma1" for the state at gamma = 1.
+    States are keyed by the long run's name in lower case (none at gamma > 1);
+    verdicts by "fundamental" and "bubbly" for gamma < 1 (a verdict is None
+    where that long run cannot exist).
     """
-    states, welfare = {}, {}
-    gamma = params.housing.gamma
-    if gamma < 1.0:
-        thr = regime.thresholds
-        w = params.income_ratio
-        if w > thr.w_f_star:
-            states["fundamental"] = fundamental_steady_state(params)
-        if w < thr.w_b_star:
-            states["bubbly"] = bubbly_steady_state(params)
+    reports = {kind.value.lower(): steady_state(params, kind) for kind in regime.long_runs}
+    states = {name: rep for name, rep in reports.items() if rep is not None}
+    welfare = {}
+    if params.housing.gamma < 1.0:
         for name, kind in (("fundamental", LongRunKind.FUNDAMENTAL_LONG_RUN),
                            ("bubbly", LongRunKind.BUBBLY_LONG_RUN)):
             try:
                 welfare[name] = welfare_class(params, kind).value
             except ModelError:
                 welfare[name] = None
-    elif gamma == 1.0:
-        states["gamma1"] = gamma1_steady_state(params)
     return states, welfare
 
 
@@ -446,11 +431,11 @@ def _sweep_cell(params: EconomyParams, gamma_inv: float, w_inv: float) -> list[s
     w_f = w_b = s_star = lambda1 = ""
     if thr is not None:
         w_f, w_b = _float_cell(thr.w_f_star), _float_cell(thr.w_b_star)
-    # the bubbly state where one exists; none on the w_b_star boundary,
-    # where the bubbly state degenerates into the fundamental one
-    picked = [states[k] for k in ("bubbly", "fundamental", "gamma1") if k in states]
-    if picked and regime.boundary != "w_b_star":
-        s_star, lambda1 = _float_cell(picked[0].s_star), _float_cell(picked[0].lambda1)
+    # the last listed long run's state, so the bubbly one where it exists;
+    # none on the w_b_star boundary, where it degenerates into the fundamental one
+    if states and regime.boundary != "w_b_star":
+        picked = list(states.values())[-1]
+        s_star, lambda1 = _float_cell(picked.s_star), _float_cell(picked.lambda1)
     efficient = {"Efficient": "true", "Inefficient": "false",
                  None: ""}[welfare.get("fundamental", "Efficient")]
     return [_float_cell(gamma_inv), _float_cell(w_inv), regime.tag.value,

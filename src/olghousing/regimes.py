@@ -23,6 +23,7 @@ __all__ = [
     "EconomyParams",
     "Thresholds",
     "RegimeTag",
+    "TerminalKind",
     "Regime",
     "Determinacy",
     "SteadyStateKind",
@@ -37,6 +38,7 @@ __all__ = [
     "bubbly_steady_state",
     "fundamental_steady_state",
     "gamma1_steady_state",
+    "steady_state",
     "welfare_class",
     "credit_transform",
 ]
@@ -107,20 +109,30 @@ class RegimeTag(str, Enum):
     PATHOLOGICAL_GAMMA_ABOVE_1 = "PathologicalGammaAbove1"
 
 
+class TerminalKind(str, Enum):
+    FUNDAMENTAL = "Fundamental"
+    BUBBLY = "Bubbly"
+    GAMMA1 = "Gamma1"
+    GAMMA_ABOVE_1 = "GammaAbove1"
+
+
 @dataclass(frozen=True)
 class Regime:
-    """Classification verdict: regime tag plus boundary diagnostics.
+    """Classification verdict: regime tag, long runs, boundary diagnostics.
 
-    ``boundary`` names the threshold ("w_f_star" or "w_b_star") when the
-    income ratio sits within ``BOUNDARY_TOL`` of it; such cases are flagged
-    rather than silently classified, and the tag then names the regime on
-    the higher-ratio side of the threshold.
+    ``long_runs`` lists the long runs that exist: for gamma < 1, Fundamental
+    above ``w_f_star`` and Bubbly below ``w_b_star``, in that order; else the
+    branch's one long run. ``boundary`` names the threshold ("w_f_star" or
+    "w_b_star") when the income ratio sits within ``BOUNDARY_TOL`` of it;
+    such cases are flagged rather than silently classified, and the tag
+    then names the regime on the higher-ratio side of the threshold.
     """
 
     tag: RegimeTag
     income_ratio: float
     thresholds: Thresholds | None = None
     boundary: str | None = None
+    long_runs: tuple[TerminalKind, ...] = ()
 
 
 class Determinacy(str, Enum):
@@ -237,27 +249,31 @@ def thresholds(params: EconomyParams) -> Thresholds:
 
 
 def classify(params: EconomyParams) -> Regime:
-    """Regime tag from the curvature branch and the income ratio."""
+    """Regime tag and long runs from the curvature branch and the income ratio."""
     gamma = params.housing.gamma
     w = params.income_ratio
     if gamma > 1.0:
-        return Regime(tag=RegimeTag.PATHOLOGICAL_GAMMA_ABOVE_1, income_ratio=w)
+        return Regime(tag=RegimeTag.PATHOLOGICAL_GAMMA_ABOVE_1, income_ratio=w,
+                      long_runs=(TerminalKind.GAMMA_ABOVE_1,))
     if gamma == 1.0:
-        return Regime(tag=RegimeTag.COBB_DOUGLAS_FUNDAMENTAL, income_ratio=w)
+        return Regime(tag=RegimeTag.COBB_DOUGLAS_FUNDAMENTAL, income_ratio=w,
+                      long_runs=(TerminalKind.GAMMA1,))
     thr = thresholds(params)
+    exists = {TerminalKind.FUNDAMENTAL: w > thr.w_f_star, TerminalKind.BUBBLY: w < thr.w_b_star}
+    long_runs = tuple(kind for kind, admitted in exists.items() if admitted)
     if abs(w - thr.w_b_star) <= BOUNDARY_TOL:
-        return Regime(tag=RegimeTag.FUNDAMENTAL, income_ratio=w,
-                      thresholds=thr, boundary="w_b_star")
+        return Regime(tag=RegimeTag.FUNDAMENTAL, income_ratio=w, thresholds=thr,
+                      boundary="w_b_star", long_runs=long_runs)
     if abs(w - thr.w_f_star) <= BOUNDARY_TOL:
-        return Regime(tag=RegimeTag.BUBBLE_POSSIBILITY, income_ratio=w,
-                      thresholds=thr, boundary="w_f_star")
+        return Regime(tag=RegimeTag.BUBBLE_POSSIBILITY, income_ratio=w, thresholds=thr,
+                      boundary="w_f_star", long_runs=long_runs)
     if w > thr.w_b_star:
         tag = RegimeTag.FUNDAMENTAL
     elif w > thr.w_f_star:
         tag = RegimeTag.BUBBLE_POSSIBILITY
     else:
         tag = RegimeTag.BUBBLE_NECESSITY
-    return Regime(tag=tag, income_ratio=w, thresholds=thr)
+    return Regime(tag=tag, income_ratio=w, thresholds=thr, long_runs=long_runs)
 
 
 def _linearized_verdict(n: float, d: float) -> tuple[float, Determinacy, str | None]:
@@ -423,6 +439,32 @@ def gamma1_steady_state(params: EconomyParams) -> SteadyStateReport:
         determinacy_condition=cond,
         warning=warning,
     )
+
+
+def steady_state(params: EconomyParams, long_run: TerminalKind | str) -> SteadyStateReport | None:
+    """Steady-state report of one long run, None for GammaAbove1 (it has none).
+
+    A long run of another curvature branch raises ``BranchError``; one the
+    income ratio does not admit raises ``RegimeError``.
+    """
+    long_run = TerminalKind(long_run)
+    gamma = params.housing.gamma
+    if gamma < 1.0:
+        if long_run is TerminalKind.FUNDAMENTAL:
+            return fundamental_steady_state(params)
+        if long_run is TerminalKind.BUBBLY:
+            return bubbly_steady_state(params)
+        raise BranchError(
+            f"terminal {long_run.value} is not admissible for gamma < 1; "
+            "choose Fundamental or Bubbly"
+        )
+    if gamma == 1.0:
+        if long_run is not TerminalKind.GAMMA1:
+            raise BranchError("gamma == 1 admits only the Gamma1 terminal")
+        return gamma1_steady_state(params)
+    if long_run is not TerminalKind.GAMMA_ABOVE_1:
+        raise BranchError("gamma > 1 admits only the GammaAbove1 terminal")
+    return None
 
 
 def welfare_class(params: EconomyParams, kind: LongRunKind) -> WelfareClass:

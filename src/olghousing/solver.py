@@ -21,20 +21,14 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchError, DomainError, HorizonError, SolverError
+from .errors import DomainError, HorizonError, SolverError
 from .preferences import CesAggregator, HousingUtility
-from .regimes import (
-    EconomyParams,
-    bubbly_steady_state,
-    fundamental_steady_state,
-    gamma1_steady_state,
-)
+from .regimes import EconomyParams, SteadyStateKind, TerminalKind, steady_state
 from .roots import newton
 
 __all__ = [
@@ -157,13 +151,6 @@ class EndowmentPath:
         seg = self.segments[-1]
         return EconomyParams(agg=params.agg, housing=params.housing,
                              G=seg.G, e1=seg.e1, e2=seg.e2)
-
-
-class TerminalKind(str, Enum):
-    FUNDAMENTAL = "Fundamental"
-    BUBBLY = "Bubbly"
-    GAMMA1 = "Gamma1"
-    GAMMA_ABOVE_1 = "GammaAbove1"
 
 
 @dataclass(frozen=True)
@@ -370,32 +357,15 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
     date T, not machine precision: tripling this pad moves a fundamental
     path's s_T (seeded at 0) by 6.2-6.8e-13. The seed is always at least
     one period beyond the horizon so every returned date has a successor.
+    A fundamental seed is share 0: its steady state is a detrended level.
     """
-    gamma = params.housing.gamma
-    terminal = TerminalKind(terminal)
-    fin = endowments.final_params(params)
-    if gamma < 1.0:
-        if terminal is TerminalKind.FUNDAMENTAL:
-            seed, lambda1 = 0.0, fundamental_steady_state(fin).lambda1
-        elif terminal is TerminalKind.BUBBLY:
-            rep = bubbly_steady_state(fin)
-            seed, lambda1 = rep.s_star, rep.lambda1
-        else:
-            raise BranchError(
-                f"terminal {terminal.value} is not admissible for gamma < 1; "
-                "choose Fundamental or Bubbly"
-            )
-        if not abs(lambda1) > 1.0 + 1e-12:
-            return seed, lambda1, 1
-        return seed, lambda1, min(max(math.ceil(28.0 / math.log(abs(lambda1))), 60), 5000)
-    if gamma == 1.0:
-        if terminal is not TerminalKind.GAMMA1:
-            raise BranchError("gamma == 1 admits only the Gamma1 terminal")
-        rep = gamma1_steady_state(fin)
-        return rep.s_star, rep.lambda1, 1
-    if terminal is not TerminalKind.GAMMA_ABOVE_1:
-        raise BranchError("gamma > 1 admits only the GammaAbove1 terminal")
-    return 1.0 - 1e-6, None, 150
+    rep = steady_state(endowments.final_params(params), terminal)
+    if rep is None:
+        return 1.0 - 1e-6, None, 150
+    seed = 0.0 if rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED else rep.s_star
+    if rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH or not abs(rep.lambda1) > 1.0 + 1e-12:
+        return seed, rep.lambda1, 1
+    return seed, rep.lambda1, min(max(math.ceil(28.0 / math.log(abs(rep.lambda1))), 60), 5000)
 
 
 def _price_date(terms: Callable[..., tuple], u: float, S_next: float, e_y_t: float,
