@@ -303,9 +303,12 @@ def _steady_state_json(rep) -> dict:
 def _long_run(params: EconomyParams, regime: Regime) -> tuple[dict, dict]:
     """Steady state per listed long run, and the welfare verdict name per long-run kind.
 
-    States are keyed by the long run's name in lower case (none at gamma > 1);
-    verdicts by "fundamental" and "bubbly" for gamma < 1 (a verdict is None
-    where that long run cannot exist).
+    States are keyed by the long run's name in lower case (none at gamma > 1).
+    Verdicts are keyed "fundamental" and "bubbly", both always present for
+    gamma < 1 and absent otherwise: the fundamental one is None at or below
+    w_f_star, where that long run cannot exist, while the bubbly one reads
+    "Efficient" even at or above w_b_star, where there is no bubbly state,
+    since every long run counts as efficient there.
     """
     reports = {kind.value.lower(): steady_state(params, kind) for kind in regime.long_runs}
     states = {name: rep for name, rep in reports.items() if rep is not None}
@@ -444,8 +447,15 @@ def _sweep_cell(params: EconomyParams, gamma_inv: float, w_inv: float) -> list[s
 
 # ------------------------------------------------------------------ entry
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command-line error as a ``ConfigError`` (its subparsers too)."""
+
+    def error(self, message: str):
+        raise ConfigError("arguments", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="olghousing",
         description="Equilibrium laboratory for a two-period OLG housing economy",
     )
@@ -460,8 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
         cmd.add_argument("--out", default=None, help="write the CSV payload to this file")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="payload format when --out is not given")
+        # regimes prints JSON only
+        if name != "regimes":
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv",
+                             help="payload format when --out is not given")
     return parser
 
 
@@ -524,9 +536,9 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     _setup_logging()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         log.info("running %s with config %s", args.command, args.config)
         if args.command == "regimes":

@@ -7,7 +7,9 @@ below the lower threshold every equilibrium carries a housing bubble, and in
 between both long runs coexist. All of this applies to the curvature branch
 ``gamma < 1``; the log branch ``gamma == 1`` has a unique balanced growth
 path computed here as well, while ``gamma > 1`` admits no steady state and
-its dynamics are handled entirely by the solver.
+its dynamics are handled entirely by the solver. ``classify`` lists the
+long runs an economy admits, and ``steady_state`` is the one place that
+maps a long run to its steady state.
 """
 from __future__ import annotations
 
@@ -235,7 +237,11 @@ def _require_gamma_below_one(params: EconomyParams, what: str) -> None:
 
 def thresholds(params: EconomyParams) -> Thresholds:
     """Closed-form critical income ratios bounding the bubble regimes of a
-    CES economy (gamma < 1 only)."""
+    CES economy (gamma < 1 only).
+
+    Raises ``DomainError`` when they are not positive, finite and ordered
+    in floating point, as happens for sigma below about 1e-3.
+    """
     _require_gamma_below_one(params, "thresholds")
     agg = params.agg
     if not isinstance(agg, CesAggregator):
@@ -243,8 +249,22 @@ def thresholds(params: EconomyParams) -> Thresholds:
     G = params.G
     gamma = params.housing.gamma
     ratio = agg.beta / (1.0 - agg.beta)
-    w_f = (ratio * G ** (gamma - agg.sigma)) ** (1.0 / agg.sigma)
-    w_b = (ratio * G ** (1.0 - agg.sigma)) ** (1.0 / agg.sigma)
+
+    def root(base: float) -> float:
+        # base ** (1/sigma), inf where it overflows
+        try:
+            return base ** (1.0 / agg.sigma)
+        except OverflowError:
+            return math.inf
+
+    w_f = root(ratio * G ** (gamma - agg.sigma))
+    w_b = root(ratio * G ** (1.0 - agg.sigma))
+    if not 0.0 < w_f < w_b < math.inf:
+        raise DomainError(
+            f"thresholds w_f_star={w_f!r} and w_b_star={w_b!r} at sigma={agg.sigma!r} "
+            "are not positive, finite and ordered in floating point; sigma is too small "
+            "for the other parameters"
+        )
     return Thresholds(w_f_star=w_f, w_b_star=w_b)
 
 
@@ -311,6 +331,11 @@ def bubbly_steady_state(params: EconomyParams) -> SteadyStateReport:
     gamma = params.housing.gamma
     s = (thr.w_b_star - w) / (thr.w_b_star + 1.0)
     y, z = 1.0 - s, G * (w + s)
+    if not y > 0.0:
+        raise DomainError(
+            f"bubbly steady-state share rounds to 1 at w_b_star={thr.w_b_star!r} "
+            f"(sigma={params.agg.sigma!r}), leaving the young no consumption"
+        )
     eps = params.agg.eis(y, z)
     n = 1.0 + (1.0 / eps) * s / (1.0 - s)
     d = 1.0 - (1.0 / eps) * s / (w + s)

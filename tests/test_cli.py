@@ -231,6 +231,30 @@ def test_rejected_config_prints_its_exact_error_line(tmp_path, capsys, command, 
                    % (field, field, message))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve"], "the following arguments are required: --config"),
+    (["bogus", "--config", "x"], "invalid choice: 'bogus'"),
+    (["solve", "--config", "x", "--format", "xml"], "invalid choice: 'xml'"),
+    # regimes prints JSON only and takes no --format
+    (["regimes", "--config", "x", "--format", "csv"], "unrecognized arguments: --format csv"),
+], ids=["missing-config", "unknown-command", "bad-format", "regimes-format"])
+def test_bad_arguments_print_one_json_line(capsys, argv, message):
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["field"]) == ("ConfigError", "arguments")
+    assert message in payload["message"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: olghousing")
+
+
 # ---------------------------------------------------------------- regimes
 
 def test_regimes_json_document(tmp_path, capsys):
@@ -256,6 +280,8 @@ def test_regimes_fundamental_side(tmp_path, capsys):
     assert "fundamental" in doc["steady_states"]
     assert "bubbly" not in doc["steady_states"]
     assert doc["welfare"]["fundamental"] == "Efficient"
+    # every long run counts as efficient above w_b_star, the absent bubbly one too
+    assert doc["welfare"]["bubbly"] == "Efficient"
 
 
 # ---------------------------------------------------------------- solve
@@ -713,6 +739,12 @@ RENT_PRICE_OVERFLOW = {"beta": 0.33417033411333885, "sigma": 59.43498548196604,
                        "gamma": 1.0, "m": 0.06426911772663384, "G": 1.4291711994071246,
                        "e1": 0.0011615146421400443, "e2": 168.89945081867958, "T": 194}
 
+# a small sigma drives the closed-form thresholds out of the float range
+SIGMA_OVERFLOW = dict(BASE, sigma=1e-4, e1=105.0, e2=95.0)
+SIGMA_UNDERFLOW = dict(BASE, beta=0.05, sigma=1e-4, G=1.01, e1=105.0, e2=95.0)
+# w_b_star = 2.2e41: the bubbly steady-state share rounds to 1
+BUBBLY_SHARE_ROUNDS = dict(BASE, sigma=1e-3, e1=105.0, e2=95.0)
+
 
 @pytest.mark.parametrize("command,doc,error,detail", [
     ("regimes", GAMMA1_UNDERFLOW, "SolverError", "marginal c_z = 0.0 underflows"),
@@ -720,8 +752,12 @@ RENT_PRICE_OVERFLOW = {"beta": 0.33417033411333885, "sigma": 59.43498548196604,
     ("solve", RENT_OVERFLOW, "HorizonError", "(date 449)"),
     ("solve", RENT_PRICE_OVERFLOW, "HorizonError",
      "price underflows against expenditure at date 194"),
+    ("regimes", SIGMA_OVERFLOW, "DomainError", "w_b_star=inf at sigma=0.0001"),
+    ("regimes", SIGMA_UNDERFLOW, "DomainError", "w_f_star=0.0 and w_b_star=0.0 at sigma=0.0001"),
+    ("solve", BUBBLY_SHARE_ROUNDS, "DomainError", "bubbly steady-state share rounds to 1"),
 ], ids=["gamma1-underflow-regimes", "gamma1-underflow-solve", "rent-scale-overflow",
-        "rent-price-overflow"])
+        "rent-price-overflow", "sigma-threshold-overflow", "sigma-threshold-underflow",
+        "bubbly-share-rounds-to-one"])
 def test_extreme_config_prints_one_json_line_in_a_subprocess(tmp_path, command, doc,
                                                              error, detail):
     # a subprocess, because pytest's warning capture would hide a numpy warning on stderr
@@ -766,7 +802,9 @@ def _economy_configs():
     return st.fixed_dictionaries(
         {
             "beta": st.floats(0.05, 0.95, **_FINITE),
-            "sigma": st.one_of(st.just(1.0), st.floats(0.05, 60.0, **_FINITE)),
+            # log-uniform from 1e-6, where the thresholds leave the float range, to 60
+            "sigma": st.one_of(st.just(1.0), st.floats(-6.0, math.log10(60.0), **_FINITE)
+                               .map(lambda e: 10.0 ** e)),
             "gamma": st.one_of(st.just(1.0), st.floats(0.1, 2.5, **_FINITE)),
             "m": st.floats(-12.0, 10.0, **_FINITE).map(lambda e: 10.0 ** e),
             "G": st.floats(1.01, 3.2, **_FINITE),

@@ -4,24 +4,30 @@ Frozen constants come from 50-digit mpmath closed forms cross-checked
 against high-precision implicit-map finite differences; see tools/oracles.py.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from olghousing import BranchError, CesAggregator, DomainError, HousingUtility, LoanError, RegimeError, SolverError
+import olghousing
 from olghousing.regimes import (
+    BOUNDARY_TOL,
     Determinacy,
     EconomyParams,
     LongRunKind,
     RegimeTag,
     SteadyStateKind,
+    SteadyStateReport,
+    TerminalKind,
     WelfareClass,
     bubbly_steady_state,
     classify,
     credit_transform,
     fundamental_steady_state,
     gamma1_steady_state,
+    steady_state,
     thresholds,
     welfare_class,
 )
@@ -79,6 +85,16 @@ def test_thresholds_ordered_on_random_economies():
         assert 0.0 < thr.w_f_star < thr.w_b_star
 
 
+@pytest.mark.parametrize("beta,sigma,G,where", [
+    (0.5, 1e-4, 1.1, "w_b_star=inf"),      # (ratio*G**(1-sigma))**(1/sigma) overflows
+    (0.05, 1e-4, 1.01, "w_f_star=0.0"),    # both closed forms underflow to 0
+], ids=["overflow", "underflow"])
+def test_thresholds_outside_the_float_range_are_a_domain_error(beta, sigma, G, where):
+    with pytest.raises(DomainError) as err:
+        thresholds(make_params(beta=beta, sigma=sigma, G=G, e1=105.0, e2=95.0))
+    assert where in str(err.value) and f"sigma={sigma!r}" in str(err.value)
+
+
 def test_thresholds_reject_gamma_at_or_above_one():
     with pytest.raises(BranchError):
         thresholds(make_params(gamma=1.0))
@@ -119,6 +135,89 @@ def test_classify_boundary_flags():
     assert at_f.boundary == "w_f_star"
     clear = classify(make_params(e1=1.0, e2=thr.w_b_star + 1e-6))
     assert clear.boundary is None and clear.tag is RegimeTag.FUNDAMENTAL
+
+
+def _tag_from_thresholds(w, thr):
+    """The regime tag rule, written out independently of ``classify``."""
+    if abs(w - thr.w_b_star) <= BOUNDARY_TOL:
+        return RegimeTag.FUNDAMENTAL
+    if abs(w - thr.w_f_star) <= BOUNDARY_TOL:
+        return RegimeTag.BUBBLE_POSSIBILITY
+    if w > thr.w_b_star:
+        return RegimeTag.FUNDAMENTAL
+    return RegimeTag.BUBBLE_POSSIBILITY if w > thr.w_f_star else RegimeTag.BUBBLE_NECESSITY
+
+
+def test_classify_lists_long_runs():
+    F, B = TerminalKind.FUNDAMENTAL, TerminalKind.BUBBLY
+    assert classify(BASE).long_runs == (F,)
+    assert classify(BUBBLY).long_runs == (B,)
+    assert classify(make_params(e1=100.0, e2=98.0)).long_runs == (F, B)
+    assert classify(make_params(gamma=1.0)).long_runs == (TerminalKind.GAMMA1,)
+    assert classify(make_params(gamma=1.5)).long_runs == (TerminalKind.GAMMA_ABOVE_1,)
+    # strict tests: a long run is not listed on its own threshold
+    thr = thresholds(BASE)
+    assert classify(make_params(e1=1.0, e2=thr.w_b_star)).long_runs == (F,)
+    assert classify(make_params(e1=1.0, e2=thr.w_f_star)).long_runs == (B,)
+
+
+def test_terminal_kind_is_one_class():
+    assert olghousing.TerminalKind is olghousing.solver.TerminalKind is TerminalKind
+
+
+def _random_economies(n=200):
+    """Seeded gamma < 1 economies at income ratios spread over both
+    thresholds, within BOUNDARY_TOL of each, and exactly on each."""
+    rng = np.random.default_rng(15)
+    for i in range(n):
+        base = make_params(beta=rng.uniform(0.1, 0.9), sigma=math.exp(rng.uniform(-1.5, 2.5)),
+                           gamma=rng.uniform(0.05, 0.95), G=rng.uniform(1.01, 1.5),
+                           m=10.0 ** rng.uniform(-3.0, 1.0))
+        thr = thresholds(base)
+        near = (thr.w_f_star, thr.w_b_star)[i % 2]
+        w = [rng.uniform(0.5 * thr.w_f_star, 1.5 * thr.w_b_star),
+             near + rng.uniform(-BOUNDARY_TOL, BOUNDARY_TOL),
+             near][i % 3]
+        yield EconomyParams(agg=base.agg, housing=base.housing, G=base.G, e1=1.0, e2=w)
+
+
+def test_steady_state_exists_exactly_for_the_listed_long_runs():
+    boundaries = 0
+    for params in _random_economies():
+        regime = classify(params)
+        w, thr = params.income_ratio, regime.thresholds
+        assert regime.tag is _tag_from_thresholds(w, thr)
+        boundaries += regime.boundary is not None
+        for kind in (TerminalKind.FUNDAMENTAL, TerminalKind.BUBBLY):
+            if kind in regime.long_runs:
+                assert isinstance(steady_state(params, kind), SteadyStateReport)
+            else:
+                with pytest.raises(RegimeError):
+                    steady_state(params, kind)
+    assert boundaries > 100
+
+
+def test_steady_state_is_the_long_runs_report():
+    assert steady_state(BASE, "Fundamental") == fundamental_steady_state(BASE)
+    assert steady_state(BUBBLY, TerminalKind.BUBBLY) == bubbly_steady_state(BUBBLY)
+    gamma1 = make_params(gamma=1.0)
+    assert steady_state(gamma1, TerminalKind.GAMMA1) == gamma1_steady_state(gamma1)
+    assert steady_state(make_params(gamma=1.5), TerminalKind.GAMMA_ABOVE_1) is None
+
+
+@pytest.mark.parametrize("gamma,kind,message", [
+    (0.5, TerminalKind.GAMMA1,
+     "terminal Gamma1 is not admissible for gamma < 1; choose Fundamental or Bubbly"),
+    (0.5, TerminalKind.GAMMA_ABOVE_1,
+     "terminal GammaAbove1 is not admissible for gamma < 1; choose Fundamental or Bubbly"),
+    (1.0, TerminalKind.FUNDAMENTAL, "gamma == 1 admits only the Gamma1 terminal"),
+    (1.0, TerminalKind.GAMMA_ABOVE_1, "gamma == 1 admits only the Gamma1 terminal"),
+    (1.5, TerminalKind.BUBBLY, "gamma > 1 admits only the GammaAbove1 terminal"),
+    (1.5, TerminalKind.GAMMA1, "gamma > 1 admits only the GammaAbove1 terminal"),
+])
+def test_steady_state_branch_errors(gamma, kind, message):
+    with pytest.raises(BranchError, match=f"^{re.escape(message)}$"):
+        steady_state(make_params(gamma=gamma), kind)
 
 
 # ---------------------------------------------------------------- bubbly steady state
@@ -204,6 +303,13 @@ def test_bubbly_steady_state_errors():
         bubbly_steady_state(BASE)  # income ratio above w_b_star
     with pytest.raises(BranchError):
         bubbly_steady_state(make_params(gamma=1.0, e1=105.0, e2=95.0))
+
+
+def test_bubbly_share_rounding_to_one_is_a_domain_error():
+    # w_b_star = 2.2e41 makes (w_b_star - w)/(w_b_star + 1) round to 1
+    params = make_params(sigma=1e-3, e1=105.0, e2=95.0)
+    with pytest.raises(DomainError, match="bubbly steady-state share rounds to 1"):
+        bubbly_steady_state(params)
 
 
 # ---------------------------------------------------------------- fundamental steady state
