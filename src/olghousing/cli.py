@@ -12,16 +12,12 @@ object on standard error with exit status 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from .analytics import detect_bubble, efficiency_test, tail_growth
 from .errors import ConfigError, ModelError
@@ -53,6 +49,11 @@ PATH_HEADER = ["t", "e_y", "e_o", "S", "s", "P", "r", "R", "q", "c_y", "c_o",
                "belief_index"]
 SWEEP_HEADER = ["gamma_inv", "w_inv", "regime", "w_f_star", "w_b_star",
                 "s_star", "lambda1", "efficient_fundamental"]
+
+# every CSV float cell; each CSV row is one %-format over its record
+_FLOAT = "%.12g"
+_PATH_ROW = ",".join(["%d", *[_FLOAT] * (len(PATH_HEADER) - 2), "%d"])
+_SWEEP_ROW = ",".join(["%s"] * len(SWEEP_HEADER))
 
 
 # ------------------------------------------------------------------ config
@@ -237,15 +238,10 @@ def _infer_terminal(params: EconomyParams, explicit: str | None,
     return regime.long_runs[0]
 
 
-def _float_cell(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _path_rows(path: EquilibriumPath, cell: Callable[[float], Any]) -> list[list]:
-    """Per-date records in ``PATH_HEADER`` order, each float passed through ``cell``."""
-    floats = zip(*(getattr(path, name).tolist() for name in PATH_HEADER[1:-1]))
-    return [[t, *map(cell, values), belief]
-            for t, (values, belief) in enumerate(zip(floats, path.belief_index.tolist()))]
+def _path_rows(path: EquilibriumPath) -> list[tuple]:
+    """Per-date records in ``PATH_HEADER`` order, as raw ints and floats."""
+    columns = (getattr(path, name).tolist() for name in PATH_HEADER[1:])
+    return list(zip(range(path.T + 1), *columns))
 
 
 def _check_tail_window(cfg: RunConfig, balanced_from: int = 0) -> None:
@@ -409,40 +405,42 @@ def cmd_credit(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     return path, summary
 
 
-def _sweep_rows(cfg: RunConfig) -> list[list[str]]:
+def _axis(start: float, stop: float, n: int) -> list[float]:
+    """``n`` evenly spaced points from ``start`` to ``stop``, as ``numpy.linspace``."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
+def _sweep_rows(cfg: RunConfig) -> list[tuple[str, ...]]:
     cfg.require("beta", "sigma", "m", "G", "gamma_inv_min", "gamma_inv_max",
                 "w_inv_min", "w_inv_max", "resolution")
     if not cfg.gamma_inv_max > cfg.gamma_inv_min:
         raise ConfigError("gamma_inv_max", "must exceed gamma_inv_min")
     if not cfg.w_inv_max > cfg.w_inv_min:
         raise ConfigError("w_inv_max", "must exceed w_inv_min")
-    gamma_axis = np.linspace(cfg.gamma_inv_min, cfg.gamma_inv_max, cfg.resolution)
-    w_axis = np.linspace(cfg.w_inv_min, cfg.w_inv_max, cfg.resolution)
-    rows = []
-    for gamma_inv in gamma_axis:
-        for w_inv in w_axis:
-            params = replace(cfg, gamma=1.0 / float(gamma_inv),
-                             e1=1.0, e2=1.0 / float(w_inv)).economy()
-            rows.append(_sweep_cell(params, float(gamma_inv), float(w_inv)))
-    return rows
+    w_axis = _axis(cfg.w_inv_min, cfg.w_inv_max, cfg.resolution)
+    return [_sweep_cell(cfg, gamma_inv, w_inv)
+            for gamma_inv in _axis(cfg.gamma_inv_min, cfg.gamma_inv_max, cfg.resolution)
+            for w_inv in w_axis]
 
 
-def _sweep_cell(params: EconomyParams, gamma_inv: float, w_inv: float) -> list[str]:
+def _sweep_cell(cfg: RunConfig, gamma_inv: float, w_inv: float) -> tuple[str, ...]:
+    params = replace(cfg, gamma=1.0 / gamma_inv, e1=1.0, e2=1.0 / w_inv).economy()
     regime = classify(params)
     states, welfare = _long_run(params, regime)
     thr = regime.thresholds
     w_f = w_b = s_star = lambda1 = ""
     if thr is not None:
-        w_f, w_b = _float_cell(thr.w_f_star), _float_cell(thr.w_b_star)
+        w_f, w_b = _FLOAT % thr.w_f_star, _FLOAT % thr.w_b_star
     # the last listed long run's state, so the bubbly one where it exists;
     # none on the w_b_star boundary, where it degenerates into the fundamental one
     if states and regime.boundary != "w_b_star":
         picked = list(states.values())[-1]
-        s_star, lambda1 = _float_cell(picked.s_star), _float_cell(picked.lambda1)
+        s_star, lambda1 = _FLOAT % picked.s_star, _FLOAT % picked.lambda1
     efficient = {"Efficient": "true", "Inefficient": "false",
                  None: ""}[welfare.get("fundamental", "Efficient")]
-    return [_float_cell(gamma_inv), _float_cell(w_inv), regime.tag.value,
-            w_f, w_b, s_star, lambda1, efficient]
+    return (_FLOAT % gamma_inv, _FLOAT % w_inv, regime.tag.value,
+            w_f, w_b, s_star, lambda1, efficient)
 
 
 # ------------------------------------------------------------------ entry
@@ -527,12 +525,13 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError("out", f"cannot write {out}: {exc}") from exc
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _csv_text(header: Sequence[str], lines: list[str]) -> str:
+    # no cell holds a comma, a quote or a newline (numbers, regime tags,
+    # true/false or empty), so none needs CSV quoting
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+_PATH_COMMANDS = {"solve": cmd_solve, "scenario": cmd_scenario, "credit": cmd_credit}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -543,25 +542,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         log.info("running %s with config %s", args.command, args.config)
         if args.command == "regimes":
             _emit(json.dumps(cmd_regimes(cfg), indent=2), args.out)
-        elif args.command in ("solve", "scenario", "credit"):
-            runner = {"solve": cmd_solve, "scenario": cmd_scenario,
-                      "credit": cmd_credit}[args.command]
-            path, summary = runner(cfg)
-            if args.format == "json" and args.out is None:
-                summary["rows"] = [dict(zip(PATH_HEADER, row))
-                                   for row in _path_rows(path, float)]
-                sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-            else:
-                _emit(_csv_text(PATH_HEADER, _path_rows(path, _float_cell)), args.out)
-                if args.out is not None:
-                    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+            return 0
+        if args.command == "sweep":
+            summary, header, row_format, rows = None, SWEEP_HEADER, _SWEEP_ROW, _sweep_rows(cfg)
         else:
-            rows = _sweep_rows(cfg)
-            if args.format == "json" and args.out is None:
-                docs = [dict(zip(SWEEP_HEADER, row)) for row in rows]
-                sys.stdout.write(json.dumps(docs, indent=2) + "\n")
-            else:
-                _emit(_csv_text(SWEEP_HEADER, rows), args.out)
+            path, summary = _PATH_COMMANDS[args.command](cfg)
+            header, row_format, rows = PATH_HEADER, _PATH_ROW, _path_rows(path)
+        # JSON only without --out; a path's summary goes to stdout beside a CSV file
+        if args.format == "json" and args.out is None:
+            records = [dict(zip(header, row)) for row in rows]
+            doc = records if summary is None else {**summary, "rows": records}
+            _emit(json.dumps(doc, indent=2), None)
+        else:
+            _emit(_csv_text(header, [row_format % row for row in rows]), args.out)
+            if args.out is not None and summary is not None:
+                _emit(json.dumps(summary, indent=2), None)
     except ModelError as exc:
         doc = {
             "error": type(exc).__name__,
