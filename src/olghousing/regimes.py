@@ -268,8 +268,29 @@ def thresholds(params: EconomyParams) -> Thresholds:
     return Thresholds(w_f_star=w_f, w_b_star=w_b)
 
 
+def _fundamental_level(params: EconomyParams) -> tuple[float, float, float]:
+    """The fundamental long run's detrended level ``m c**gamma / (c_y - G**gamma c_z)``
+    at consumption (1, G*w), with ``c_y`` and ``G**gamma c_z``.
+
+    The level is inf, or nan, where that denominator is not positive in
+    floating point: exactly so at or below ``w_f_star``, and also a few ulps
+    above it, where the closed-form threshold test still passes.
+    """
+    G, gamma = params.G, params.housing.gamma
+    c, cy, cz, _ = params.agg.value_partials(1.0, G * params.income_ratio)
+    g_cz = G ** gamma * cz
+    denom = cy - g_cz
+    level = params.housing.m * c ** gamma / denom if denom > 0.0 else math.inf
+    return level, cy, g_cz
+
+
 def classify(params: EconomyParams) -> Regime:
-    """Regime tag and long runs from the curvature branch and the income ratio."""
+    """Regime tag and long runs from the curvature branch and the income ratio.
+
+    The fundamental long run is listed where the income ratio exceeds
+    ``w_f_star`` and its detrended level is finite and positive in floating
+    point; the tag follows the closed-form thresholds alone.
+    """
     gamma = params.housing.gamma
     w = params.income_ratio
     if gamma > 1.0:
@@ -279,7 +300,8 @@ def classify(params: EconomyParams) -> Regime:
         return Regime(tag=RegimeTag.COBB_DOUGLAS_FUNDAMENTAL, income_ratio=w,
                       long_runs=(TerminalKind.GAMMA1,))
     thr = thresholds(params)
-    exists = {TerminalKind.FUNDAMENTAL: w > thr.w_f_star, TerminalKind.BUBBLY: w < thr.w_b_star}
+    fundamental = w > thr.w_f_star and 0.0 < _fundamental_level(params)[0] < math.inf
+    exists = {TerminalKind.FUNDAMENTAL: fundamental, TerminalKind.BUBBLY: w < thr.w_b_star}
     long_runs = tuple(kind for kind, admitted in exists.items() if admitted)
     if abs(w - thr.w_b_star) <= BOUNDARY_TOL:
         return Regime(tag=RegimeTag.FUNDAMENTAL, income_ratio=w, thresholds=thr,
@@ -365,7 +387,8 @@ def fundamental_steady_state(params: EconomyParams) -> SteadyStateReport:
     The housing expenditure share of income vanishes along the fundamental
     path; the meaningful detrended level is ``S_t / (e1**gamma *
     G**(gamma*t))``, whose limit ``s_star`` is finite exactly when the
-    income ratio exceeds ``w_f_star``.
+    income ratio exceeds ``w_f_star``. A few ulps above it the level is not
+    representable in floating point, and that too raises ``RegimeError``.
     """
     _require_gamma_below_one(params, "fundamental_steady_state")
     thr = thresholds(params)
@@ -375,24 +398,24 @@ def fundamental_steady_state(params: EconomyParams) -> SteadyStateReport:
             f"no fundamental long run: income ratio {w:.6g} does not exceed "
             f"w_f_star {thr.w_f_star:.6g}"
         )
-    G = params.G
-    gamma = params.housing.gamma
-    m = params.housing.m
-    c, cy, cz, _ = params.agg.value_partials(1.0, G * w)
-    denom = cy - G ** gamma * cz
+    s, cy, g_cz = _fundamental_level(params)
+    if not 0.0 < s < math.inf:
+        raise RegimeError(
+            f"no fundamental long run in floating point: at income ratio {w!r}, "
+            f"{w - thr.w_f_star:.3g} above w_f_star, c_y - G**gamma*c_z = {cy - g_cz!r} "
+            f"gives the detrended level {s!r}"
+        )
     warning = None
-    if denom < 1e-8 * cy:
+    if cy - g_cz < 1e-8 * cy:
         warning = (
             "income ratio is within the near-singular band above w_f_star; "
             "the detrended level is numerically unreliable"
         )
-    s = m * c ** gamma / denom
-    lam1 = cy / (G ** gamma * cz)
     return SteadyStateReport(
         kind=SteadyStateKind.FUNDAMENTAL_DETRENDED,
         s_star=s,
-        lambda1=lam1,
-        lambda2=G ** (gamma - 1.0),
+        lambda1=cy / g_cz,
+        lambda2=params.G ** (params.housing.gamma - 1.0),
         determinacy=Determinacy.SADDLE,
         warning=warning,
     )

@@ -770,6 +770,24 @@ def test_extreme_config_prints_one_json_line_in_a_subprocess(tmp_path, command, 
     assert detail in payload["message"]
 
 
+# income ratio 3 ulps above w_f_star: the fundamental level's denominator rounds to 0
+ULP_ABOVE_W_F = {"beta": 0.5396749501384476, "sigma": 0.24913420619121826,
+                 "gamma": 0.7281617978073259, "m": 0.1, "G": 1.2736902234774463,
+                 "e1": 1.0, "e2": 3.0147005277667107, "T": 50}
+
+
+def test_fundamental_level_rounding_to_a_pole_keeps_the_error_contract(tmp_path, capsys):
+    config = write_config(tmp_path, ULP_ABOVE_W_F)
+    code, out, err = run_main(capsys, ["regimes", "--config", config])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["boundary"] == "w_f_star" and list(doc["steady_states"]) == ["bubbly"]
+    config = write_config(tmp_path, dict(ULP_ABOVE_W_F, terminal="Fundamental"))
+    code, out, err = run_main(capsys, ["solve", "--config", config])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "RegimeError"
+
+
 def test_diverging_rent_price_sum_prints_no_warning_in_a_subprocess(tmp_path):
     # the rent-price partial sums of this credit economy overflow to inf
     doc = {"beta": 0.9178042059047289, "sigma": 55.39695815339415,

@@ -197,6 +197,48 @@ def test_steady_state_exists_exactly_for_the_listed_long_runs():
     assert boundaries > 100
 
 
+# income ratio 3 ulps above w_f_star, where c_y - G**gamma*c_z at (1, G*w) rounds to 0
+ULP_ABOVE_W_F = make_params(beta=0.5396749501384476, sigma=0.24913420619121826,
+                            gamma=0.7281617978073259, m=0.1, G=1.2736902234774463,
+                            e1=1.0, e2=3.0147005277667107)
+
+
+def _ulp_neighbours(x, below=10, above=40):
+    """The floats from ``below`` ulps under ``x`` to ``above`` ulps over it."""
+    for _ in range(below):
+        x = math.nextafter(x, -math.inf)
+    for _ in range(below + above + 1):
+        yield x
+        x = math.nextafter(x, math.inf)
+
+
+def test_listed_long_runs_have_a_finite_positive_level_ulps_from_each_threshold():
+    rng = np.random.default_rng(16)
+    economies = [ULP_ABOVE_W_F] + [
+        make_params(beta=rng.uniform(0.1, 0.9), sigma=math.exp(rng.uniform(-1.5, 1.6)),
+                    gamma=rng.uniform(0.2, 0.95), G=rng.uniform(1.01, 1.5))
+        for _ in range(150)]
+    dropped = 0
+    for base in economies:
+        thr = thresholds(base)
+        for w in (*_ulp_neighbours(thr.w_f_star), *_ulp_neighbours(thr.w_b_star)):
+            params = EconomyParams(agg=base.agg, housing=base.housing, G=base.G, e1=1.0, e2=w)
+            regime = classify(params)
+            assert regime.tag is _tag_from_thresholds(w, thr)
+            for kind in (TerminalKind.FUNDAMENTAL, TerminalKind.BUBBLY):
+                if kind in regime.long_runs:
+                    assert 0.0 < steady_state(params, kind).s_star < math.inf
+                else:
+                    with pytest.raises(RegimeError):
+                        steady_state(params, kind)
+            # only a boundary cell can lose its closed-form fundamental long run
+            if w > thr.w_f_star and TerminalKind.FUNDAMENTAL not in regime.long_runs:
+                assert regime.boundary is not None
+                dropped += 1
+    assert TerminalKind.FUNDAMENTAL not in classify(ULP_ABOVE_W_F).long_runs
+    assert dropped > 1
+
+
 def test_steady_state_is_the_long_runs_report():
     assert steady_state(BASE, "Fundamental") == fundamental_steady_state(BASE)
     assert steady_state(BUBBLY, TerminalKind.BUBBLY) == bubbly_steady_state(BUBBLY)
