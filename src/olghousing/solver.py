@@ -368,10 +368,11 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
     return seed, rep.lambda1, min(max(math.ceil(28.0 / math.log(abs(rep.lambda1))), 60), 5000)
 
 
-def _price_date(terms: Callable[..., tuple], u: float, S_next: float, e_y_t: float,
-                t: int) -> tuple[float, float, float]:
-    """``(P, r, residual)`` at a solved date, from the equation solved there."""
-    a, b, rent, _, cy, cz = terms(u, 1.0 - u)
+def _price_date(terms: Callable[..., tuple], u: float, y: float, S_next: float,
+                e_y_t: float, t: int) -> tuple[float, float, float]:
+    """``(P, r, residual)`` at a solved date, from the equation solved there at
+    share ``u`` and young consumption share ``y``."""
+    a, b, rent, _, cy, cz = terms(u, y)
     # price and rent from their own first-order conditions; this avoids
     # the cancellation in S - r when the price is a sliver of S, and in
     # S - P when the rent is (the marginal utilities are scale free)
@@ -443,9 +444,10 @@ def solve_path(params: EconomyParams,
     # each date starts from the next date's root, stepped on by the change
     # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
     # linear extrapolation; a zero seed leaves the first date to the cold start
+    upper = housing.gamma > 1.0
     near = None
     if seed_share > 0.0:
-        near = 1.0 - shares[t_seed] if housing.gamma > 1.0 else shares[t_seed]
+        near = 1.0 - shares[t_seed] if upper else shares[t_seed]
     step = 0.0
     evaluations = worst = safeguards = 0
     for t in range(t_seed - 1, -1, -1):
@@ -467,7 +469,10 @@ def solve_path(params: EconomyParams,
         if calls > worst:
             worst = calls
         if t < n:
-            P[t], r[t], residuals[t] = _price_date(terms, u, S_next, e_y[t], t)
+            # priced at the w Newton solved for where it is 1 - u: 1.0 - u
+            # would lose its precision once u nears 1
+            y = w if upper else 1.0 - u
+            P[t], r[t], residuals[t] = _price_date(terms, u, y, S_next, e_y[t], t)
     residuals = np.array(residuals)
     worst_date = int(residuals.argmax())
     log.debug(

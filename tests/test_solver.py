@@ -337,6 +337,15 @@ def test_gamma_above_one_limits():
     assert ratio[-1] < 1e-3
 
 
+@pytest.mark.parametrize("gamma,T", [(1.2, 2000), (1.5, 400)])
+def test_gamma_above_one_residuals_stay_at_rounding_as_the_share_nears_one(gamma, T):
+    # 1 - u falls far below 1e-7 here: priced at 1.0 - u, the residual measured
+    # the rounding of u (3.1e-2 at gamma 1.2, T 2000), not the solver's error
+    params = make_params(gamma=gamma, e1=100.0, e2=100.0)
+    path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, T)
+    assert path.residuals.max() <= 1e-14
+
+
 def test_sink_steady_state_path_stays_near_star():
     # with |lambda1| < 1 the backward recursion is expansive, so the finite
     # horizon rent wedge at the seed grows (oscillating) toward date 0; the
