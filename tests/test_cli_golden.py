@@ -133,7 +133,7 @@ GOLDEN = {
         None,
     ),
     "solve-gamma-above-1": (0,
-        "8e12e5fdc85bb5d7c99e8bb2c0005ad30754ea9ebdc52b78866aebbc7438a93e",
+        "77d75f18b9b0dc2dc13bcf5d19d4031f4e9d19b579333cd2fdecce29f08755ae",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
