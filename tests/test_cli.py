@@ -9,13 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import olghousing
 from olghousing.cli import (_FIELDS, PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig,
-                            main)
+                            _axis, main)
 from olghousing.errors import ConfigError
 from test_cli_golden import CASES, CONFIGS, GOLDEN, OUT
 
@@ -529,6 +530,17 @@ def test_sweep_missing_grid_key(tmp_path, capsys):
                                        write_config(tmp_path, doc)])
     assert code == 2
     assert json.loads(err)["field"] == "resolution"
+
+
+def test_sweep_axis_is_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(16)
+    cases = [(1.25, 2.0, 2), (0.5, 2.5, 1000), (0.92, 1.08, 5), (-3.0, 2.0, 7), (2.0, -3.0, 1000)]
+    for _ in range(1000):
+        start, stop = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        cases.append((float(start), float(stop), int(rng.choice([2, 1000, rng.integers(2, 1001)]))))
+    for start, stop, n in cases:
+        expected = np.linspace(start, stop, n).tolist()
+        assert [x.hex() for x in _axis(start, stop, n)] == [x.hex() for x in expected]
 
 
 # ---------------------------------------------------------------- plumbing
