@@ -236,8 +236,8 @@ def _infer_terminal(params: EconomyParams, explicit: str | None,
                           "both fundamental and bubbly long runs exist in the "
                           "BubblePossibility regime; specify the terminal explicitly")
     if not regime.long_runs:
-        raise ConfigError(field, "no long run is representable in floating point at "
-                          "this income ratio; specify the terminal explicitly")
+        raise ConfigError(field, "no long run of this economy is representable in "
+                          "floating point")
     return regime.long_runs[0]
 
 

@@ -800,6 +800,28 @@ def test_fundamental_level_rounding_to_a_pole_keeps_the_error_contract(tmp_path,
     assert json.loads(err)["error"] == "RegimeError"
 
 
+# thresholds 107 ulps apart: this income ratio, 1 ulp above w_b_star, is too
+# close to w_f_star for the fundamental level to be representable, so neither
+# long run is listed; BOUNDARY_TOL is below an ulp here, so no boundary either
+NO_LONG_RUN = {"beta": 0.6240109940862909, "sigma": 0.005785829347646089,
+               "gamma": 0.9999999999999989, "m": 0.1, "G": 1.1796342784964948,
+               "e1": 1.0, "e2": 2.268183890122074e+50, "T": 50}
+
+
+def test_an_economy_with_no_representable_long_run_keeps_the_error_contract(tmp_path,
+                                                                             capsys):
+    config = write_config(tmp_path, NO_LONG_RUN)
+    code, out, err = run_main(capsys, ["regimes", "--config", config])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["boundary"] is None and doc["steady_states"] == {}
+    code, out, err = run_main(capsys, ["solve", "--config", config])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ConfigError", "field": "terminal",
+        "message": "terminal: no long run of this economy is representable in floating point"}
+
+
 def test_diverging_rent_price_sum_prints_no_warning_in_a_subprocess(tmp_path):
     # the rent-price partial sums of this credit economy overflow to inf
     doc = {"beta": 0.9178042059047289, "sigma": 55.39695815339415,
