@@ -339,8 +339,8 @@ def test_gamma_above_one_limits():
 
 @pytest.mark.parametrize("gamma,T", [(1.2, 2000), (1.5, 400)])
 def test_gamma_above_one_residuals_stay_at_rounding_as_the_share_nears_one(gamma, T):
-    # 1 - u falls far below 1e-7 here: priced at 1.0 - u, the residual measured
-    # the rounding of u (3.1e-2 at gamma 1.2, T 2000), not the solver's error
+    # 1 - u falls far below 1e-7 here, where 1.0 - u rounded from the stored
+    # share has lost most of its digits; the residual must measure the solver
     params = make_params(gamma=gamma, e1=100.0, e2=100.0)
     path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, T)
     assert path.residuals.max() <= 1e-14
