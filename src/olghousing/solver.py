@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -236,45 +236,28 @@ class EquilibriumPath:
         return np.divide.accumulate(np.append(1.0, self.R[:-1]))
 
 
-def _equation(agg: CesAggregator, housing: HousingUtility,
-              share_next_scaled: float, z_hat: float, e_y_t: float):
-    """The equilibrium equation at one date, as a function of today's share u.
+def _terms(agg: CesAggregator, gamma: float, rent_scale: float,
+           share_next_scaled: float, z_hat: float, u: float, y: float) -> tuple:
+    """The equilibrium equation's terms at one date, at share ``u``.
 
     ``share_next_scaled`` is S_{t+1}/e_y_t and ``z_hat`` is next-period old
     cash-in-hand (e_o_{t+1} + S_{t+1})/e_y_t, both in units of young income.
-    The equation balances ``share_next_scaled*c_z + rent`` against ``u*c_y``
-    at young consumption ``y = 1 - u`` (passed separately, so a caller that
-    tracks y keeps its precision). The returned function gives the terms
-    ``(resale, spent, rent)`` of the residual ``(resale - spent) + rent``,
-    its derivative in u, and the partials ``(c_y, c_z)``, all from one
-    aggregator call.
+    The equation balances ``resale = share_next_scaled*c_z`` plus ``rent``
+    against ``spent = u*c_y`` at young consumption ``y = 1 - u`` (passed
+    separately, so a caller that tracks y keeps its precision); the rent is
+    ``rent_scale * c**gamma``, with ``rent_scale = m * e_y_t**(gamma - 1)``.
+    Returns ``(resale, spent, rent, c, c_y, c_z, c_yz)``, from one aggregator
+    call.
     """
-    gamma = housing.gamma
-    try:
-        rent_scale = housing.m * e_y_t ** (gamma - 1.0)
-    except OverflowError:
-        rent_scale = math.inf
-    if not math.isfinite(rent_scale):
-        raise HorizonError(
-            f"rent scale m * e_y**(gamma - 1) is not finite at young endowment {e_y_t:.6g}"
-        )
-    value_partials = agg.value_partials
-
-    def terms(u: float, y: float):
-        c, cy, cz, cyz = value_partials(y, z_hat)
-        resale, spent, rent = share_next_scaled * cz, u * cy, rent_scale * c ** gamma
-        # c_yy = -(z/y) c_yz by homogeneity
-        slope = -share_next_scaled * cyz - cy - u * (z_hat / y) * cyz - gamma * rent * cy / c
-        return resale, spent, rent, slope, cy, cz
-
-    return terms
+    c, cy, cz, cyz = agg.value_partials(y, z_hat)
+    return share_next_scaled * cz, u * cy, rent_scale * c ** gamma, c, cy, cz, cyz
 
 
 def _solve_share(agg: CesAggregator, housing: HousingUtility,
                  share_next_scaled: float, z_hat: float, e_y_t: float,
                  near: float | None = None,
-                 step: float = 0.0) -> tuple[float, float, Callable[..., tuple], int, int]:
-    """Root of the equilibrium equation for the current expenditure share.
+                 step: float = 0.0) -> tuple[float, float, float, int, int]:
+    """Root of the equilibrium equation (``_terms``) for the current expenditure share.
 
     Safeguarded Newton (``roots.newton``) in ``x = log w``, where ``w`` is
     the share u for gamma <= 1 and the young's own consumption share 1 - u
@@ -285,29 +268,40 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     ``g = (share_next_scaled*c_z + rent)/c_y`` at ``y = 1``, which costs one
     aggregator evaluation.
 
-    Returns ``(u, w, terms, aggregator evaluations, safeguard steps)``,
-    where ``terms`` is the date's ``_equation`` that was solved.
+    Returns ``(u, w, rent_scale, aggregator evaluations, safeguard steps)``,
+    with the date's rent scale for pricing it.
     """
-    terms = _equation(agg, housing, share_next_scaled, z_hat, e_y_t)
-    upper = housing.gamma > 1.0
+    gamma = housing.gamma
+    try:
+        rent_scale = housing.m * e_y_t ** (gamma - 1.0)
+    except OverflowError:
+        rent_scale = math.inf
+    if not math.isfinite(rent_scale):
+        raise HorizonError(
+            f"rent scale m * e_y**(gamma - 1) is not finite at young endowment {e_y_t:.6g}"
+        )
+    upper = gamma > 1.0
     cold = near is None
     if cold:
-        resale, _, rent, _, cy, _ = terms(0.0, 1.0)
+        resale, _, rent, _, cy, _, _ = _terms(agg, gamma, rent_scale,
+                                              share_next_scaled, z_hat, 0.0, 1.0)
         g = (resale + rent) / cy
         near, step = max((1.0 if upper else g) / (1.0 + g), _TINY_SHARE), 0.0
 
-    def point(d: float) -> tuple[float, float]:
-        w = near * math.exp(d)
-        if upper:
-            return 1.0 - w, w
-        if w >= 1.0:
-            raise SolverError("share root pinned against full young income")
-        return w, 1.0 - w
-
     def f(d: float) -> tuple[float, float, float]:
         # decreasing in d: the residual itself when w = u, its negative when w = 1 - u
-        u, y = point(d)
-        resale, spent, rent, slope, _, _ = terms(u, y)
+        w = near * math.exp(d)
+        if upper:
+            u, y = 1.0 - w, w
+        elif w >= 1.0:
+            raise SolverError("share root pinned against full young income")
+        else:
+            u, y = w, 1.0 - w
+        resale, spent, rent, c, cy, _, cyz = _terms(agg, gamma, rent_scale,
+                                                    share_next_scaled, z_hat, u, y)
+        # c_yy = -(z/y) c_yz by homogeneity
+        slope = (-share_next_scaled * cyz - cy - u * (z_hat / y) * cyz
+                 - gamma * rent * cy / c)
         if upper:
             return spent - resale - rent, slope * y, max(resale, spent, rent)
         return resale - spent + rent, slope * u, max(resale, spent, rent)
@@ -318,15 +312,16 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
                                             _MAX_NEWTON)
     # the final correction moves the last evaluated point's w by the factor
     # e^dx; applied to w and u directly, it is not rounded away
-    u, y = point(d)
-    w = y if upper else u
+    w = near * math.exp(d)
+    if not upper and w >= 1.0:
+        raise SolverError("share root pinned against full young income")
     shift = w * math.expm1(dx)
-    u, w = (u - shift, w + shift) if upper else (u + shift, u + shift)
+    u, w = (1.0 - w - shift, w + shift) if upper else (w + shift, w + shift)
     if u >= 1.0:
         raise SolverError("share root pinned against full young income")
     if u < _TINY_SHARE:
         raise SolverError("share root vanished below representable range")
-    return u, w, terms, evaluations + cold, safeguards
+    return u, w, rent_scale, evaluations + cold, safeguards
 
 
 def backward_step(housing: HousingUtility, agg: CesAggregator,
@@ -368,11 +363,12 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
     return seed, rep.lambda1, min(max(math.ceil(28.0 / math.log(abs(rep.lambda1))), 60), 5000)
 
 
-def _price_date(terms: Callable[..., tuple], u: float, y: float, S_next: float,
-                e_y_t: float, t: int) -> tuple[float, float, float]:
-    """``(P, r, residual)`` at a solved date, from the equation solved there at
+def _price_date(agg: CesAggregator, gamma: float, rent_scale: float,
+                share_next_scaled: float, z_hat: float, u: float, y: float,
+                S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:
+    """``(P, r, residual)`` at a solved date, from the equation's ``_terms`` at
     share ``u`` and young consumption share ``y``."""
-    a, b, rent, _, cy, cz = terms(u, y)
+    a, b, rent, _, cy, cz, _ = _terms(agg, gamma, rent_scale, share_next_scaled, z_hat, u, y)
     # price and rent from their own first-order conditions; this avoids
     # the cancellation in S - r when the price is a sliver of S, and in
     # S - P when the rent is (the marginal utilities are scale free)
@@ -395,28 +391,20 @@ def _price_date(terms: Callable[..., tuple], u: float, y: float, S_next: float,
     return price, rent_level, abs(a - b + rent) / max(a, b, rent)
 
 
-def solve_path(params: EconomyParams,
-               endowments: EndowmentPath | None,
-               terminal: TerminalKind | str,
-               T: int,
-               seed_pad: int | None = None) -> EquilibriumPath:
-    """Equilibrium path on dates 0..T for one fixed belief.
+def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind | str,
+              T: int, first: int, stop: int, seed_pad: int | None) -> tuple:
+    """One belief's equilibrium, solved backwards from its terminal seed down to date ``first``.
 
-    The terminal condition seeds the expenditure share at the steady state
-    of the requested long run, ``pad`` periods beyond T (automatic unless
-    ``seed_pad`` is given), then walks the equilibrium equation backwards.
-    Each date's equation is built once: on dates 0..T the one solved for
-    the share also gives the price, rent and residual.
+    The seed is the steady state of the requested long run, planted ``pad``
+    periods beyond T (automatic unless ``seed_pad`` is given). Each date's
+    share is solved once, and dates ``first..stop-1`` are also priced from
+    the equation solved there. A date's root and its warm start read only
+    later dates, so every returned date carries the same bits as in a solve
+    down to date 0.
 
-    Raises a regime error when the final segment does not admit the
-    requested terminal, and a horizon error when the horizon precedes the
-    final segment or, on the returned window, some price fails to be
-    positive or underflows against expenditure, or some rent underflows.
+    Returns ``(e_y, e_o, s, P, r, residuals, S_stop)``: lists over dates
+    ``first..stop-1``, and the expenditure at date ``stop``.
     """
-    if T < 1:
-        raise HorizonError(f"horizon must be at least 1, got {T}")
-    if endowments is None:
-        endowments = EndowmentPath.from_params(params, T)
     if T < endowments.balanced_from:
         raise HorizonError(
             f"horizon {T} ends before the final balanced-growth segment "
@@ -434,28 +422,29 @@ def solve_path(params: EconomyParams,
     )
 
     agg, housing = params.agg, params.housing
-    # the recursion runs on plain floats; arrays are built once, at the end
+    gamma = housing.gamma
+    # the recursion runs on plain floats; arrays are built by the callers
     e_y, e_o = endowments.levels(t_seed + 1)
 
-    n = T + 1
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
-    P, r, residuals = [0.0] * n, [0.0] * n, [0.0] * n
+    P, r, residuals = [0.0] * (stop - first), [0.0] * (stop - first), [0.0] * (stop - first)
     # each date starts from the next date's root, stepped on by the change
     # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
     # linear extrapolation; a zero seed leaves the first date to the cold start
-    upper = housing.gamma > 1.0
+    upper = gamma > 1.0
     near = None
     if seed_share > 0.0:
         near = 1.0 - shares[t_seed] if upper else shares[t_seed]
     step = 0.0
     evaluations = worst = safeguards = 0
-    for t in range(t_seed - 1, -1, -1):
+    for t in range(t_seed - 1, first - 1, -1):
         S_next = shares[t + 1] * e_y[t + 1]
+        share_next_scaled = shares[t + 1] * (e_y[t + 1] / e_y[t])
+        z_hat = (e_o[t + 1] + S_next) / e_y[t]
         try:
-            u, w, terms, calls, steps = _solve_share(
-                agg, housing, shares[t + 1] * (e_y[t + 1] / e_y[t]),
-                (e_o[t + 1] + S_next) / e_y[t], e_y[t], near, step)
+            u, w, rent_scale, calls, steps = _solve_share(
+                agg, housing, share_next_scaled, z_hat, e_y[t], near, step)
         except HorizonError as exc:
             raise HorizonError(
                 f"{exc} (date {t}); shorten the horizon or the terminal padding"
@@ -468,27 +457,55 @@ def solve_path(params: EconomyParams,
         safeguards += steps
         if calls > worst:
             worst = calls
-        if t < n:
+        if t < stop:
             # priced at the w Newton solved for where it is 1 - u: 1.0 - u
             # would lose its precision once u nears 1
             y = w if upper else 1.0 - u
-            P[t], r[t], residuals[t] = _price_date(terms, u, y, S_next, e_y[t], t)
-    residuals = np.array(residuals)
-    worst_date = int(residuals.argmax())
-    log.debug(
-        "solve_path: %d aggregator evaluations over %d dates (at most %d on one date), "
-        "%d safeguard steps, largest residual %.3g at date %d",
-        evaluations, t_seed, worst, safeguards, residuals[worst_date], worst_date,
-    )
+            P[t - first], r[t - first], residuals[t - first] = _price_date(
+                agg, gamma, rent_scale, share_next_scaled, z_hat, u, y, S_next, e_y[t], t)
+    if log.isEnabledFor(logging.DEBUG):
+        largest = max(residuals)
+        log.debug(
+            "solve_path: %d aggregator evaluations over %d dates (at most %d on one date), "
+            "%d safeguard steps, largest residual %.3g at date %d",
+            evaluations, t_seed - first, worst, safeguards, largest,
+            first + residuals.index(largest),
+        )
+    return (e_y[first:stop], e_o[first:stop], shares[first:stop], P, r, residuals,
+            shares[stop] * e_y[stop])
 
+
+def solve_path(params: EconomyParams,
+               endowments: EndowmentPath | None,
+               terminal: TerminalKind | str,
+               T: int,
+               seed_pad: int | None = None) -> EquilibriumPath:
+    """Equilibrium path on dates 0..T for one fixed belief.
+
+    The terminal condition seeds the expenditure share at the steady state
+    of the requested long run, ``pad`` periods beyond T (automatic unless
+    ``seed_pad`` is given), then walks the equilibrium equation backwards.
+    Each date is solved once: on dates 0..T the equation solved for the
+    share also gives the price, rent and residual.
+
+    Raises a regime error when the final segment does not admit the
+    requested terminal, and a horizon error when the horizon precedes the
+    final segment or, on the returned window, some price fails to be
+    positive or underflows against expenditure, or some rent underflows.
+    """
+    if T < 1:
+        raise HorizonError(f"horizon must be at least 1, got {T}")
+    if endowments is None:
+        endowments = EndowmentPath.from_params(params, T)
+    e_y, e_o, s, P, r, residuals, S_after = _backward(params, endowments, terminal,
+                                                      T, 0, T + 1, seed_pad)
     return EquilibriumPath(
-        e_y=np.array(e_y[:n]), e_o=np.array(e_o[:n]), s=np.array(shares[:n]),
-        P=np.array(P), r=np.array(r),
-        belief_index=np.zeros(n, dtype=int),
-        residuals=residuals,
-        terminal_kind=terminal,
+        e_y=np.array(e_y), e_o=np.array(e_o), s=np.array(s), P=np.array(P), r=np.array(r),
+        belief_index=np.zeros(T + 1, dtype=int),
+        residuals=np.array(residuals),
+        terminal_kind=TerminalKind(terminal),
         endowments=endowments,
-        S_after=shares[n] * e_y[n],
+        S_after=S_after,
     )
 
 
@@ -500,8 +517,9 @@ def solve_scenario(params: EconomyParams,
                    seed_pad: int | None = None) -> EquilibriumPath:
     """Equilibrium under a sequence of belief revisions.
 
-    Solves a full path per announced belief and reports, at each date, the
-    values of the belief active there. Prices and rents are belief
+    Solves each announced belief from its seed down to its announcement
+    date and reports, at each date, the values of the belief active there
+    (only those dates of a belief are priced). Prices and rents are belief
     consistent; the interest rate and present-value prices are realized
     (across a revision date, R uses the post-revision expenditure, which is
     where the one-time surprise shows). ``terminals`` gives the long-run
@@ -512,6 +530,8 @@ def solve_scenario(params: EconomyParams,
         raise DomainError(
             f"got {len(terminals)} terminal kinds for {len(announcements)} announcements"
         )
+    if T < 1:
+        raise HorizonError(f"horizon must be at least 1, got {T}")
     if announcements[-1][0] > T:
         raise HorizonError("last announcement lies beyond the horizon")
 
@@ -526,25 +546,21 @@ def solve_scenario(params: EconomyParams,
                     f"at date {t} (believed ({by:.6g}, {bo:.6g}), realized ({ry:.6g}, {ro:.6g}))"
                 )
 
-    paths = [
-        solve_path(params, believed, terminals[k], T, seed_pad=seed_pad)
-        for k, (_, believed) in enumerate(announcements)
-    ]
-    log.debug("solve_scenario: %d beliefs over horizon %d", len(paths), T)
+    # e_y, e_o, s, P, r and residuals, each belief's window after the last
+    columns: list[list[float]] = [[], [], [], [], [], []]
+    for k, (a_k, believed) in enumerate(announcements):
+        *window, S_after = _backward(params, believed, terminals[k], T,
+                                     a_k, bounds[k + 1], seed_pad)
+        for column, part in zip(columns, window):
+            column.extend(part)
+    log.debug("solve_scenario: %d beliefs over horizon %d", len(announcements), T)
 
-    n = T + 1
-    active = np.zeros(n, dtype=int)
-    for k, (a_k, _) in enumerate(announcements):
-        active[a_k:] = k
-
-    def pick(attr: str) -> np.ndarray:
-        return np.stack([getattr(p, attr) for p in paths])[active, np.arange(n)]
-
+    e_y, e_o, s, P, r, residuals = (np.array(column) for column in columns)
     return EquilibriumPath(
-        **{name: pick(name) for name in ("e_y", "e_o", "s", "P", "r", "residuals")},
-        belief_index=active,
+        e_y=e_y, e_o=e_o, s=s, P=P, r=r, residuals=residuals,
+        belief_index=np.repeat(np.arange(len(announcements)), np.diff(bounds)),
         terminal_kind=TerminalKind(terminals[-1]),
         endowments=realized,
-        S_after=paths[active[T]].S_after,
+        S_after=S_after,
         revision_dates=tuple(a for a, _ in announcements[1:]),
     )

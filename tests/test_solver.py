@@ -443,18 +443,18 @@ def test_paths_need_few_aggregator_calls(monkeypatch, gamma, e1, e2, terminal, T
 
 
 def test_each_date_is_decided_once(monkeypatch):
-    # the long-horizon bubbly configuration: the equation solved for each
-    # date's share also prices it, so one is built per solved date
+    # the long-horizon bubbly configuration: each date's share is solved
+    # once, and the date priced from that solve's rent scale
     params = make_params(e1=106.387036, e2=93.721941)
     T = 2000
     built = [0]
-    original = solver._equation
+    original = solver._solve_share
 
     def counted(*args):
         built[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(solver, "_equation", counted)
+    monkeypatch.setattr(solver, "_solve_share", counted)
     calls = count_aggregator_calls(monkeypatch)
     solve_path(params, None, TerminalKind.BUBBLY, T)
     pad = solver._terminal_seed(params, EndowmentPath.from_params(params, T),
@@ -588,6 +588,41 @@ def test_scenario_single_belief_equals_solve_path():
     direct = solve_path(FUND, BASE_BELIEF, TerminalKind.FUNDAMENTAL, 120)
     for name in ("S", "s", "P", "r", "R", "q", "c_y", "c_o", "residuals"):
         assert np.array_equal(getattr(sc, name), getattr(direct, name)), name
+
+
+def test_scenario_solves_each_belief_only_from_its_announcement(monkeypatch):
+    # the long-horizon fundamental-first shape: a belief's root at a date
+    # reads only later dates, so solving it down to its announcement and
+    # no further gives every reported date the bits of a solve from date 0
+    T, e1, e2 = 2000, 95.119684, 106.030036
+    params = make_params(e1=e1, e2=e2)
+    segments, beliefs, kinds = [], [], []
+    for k, a in enumerate((0, 500, 1000, 1500)):
+        segments.append(Segment(a, *((e1, e2) if k % 2 == 0 else (e2, e1)), 1.1))
+        beliefs.append((a, EndowmentPath(tuple(segments), T)))
+        kinds.append(TerminalKind.FUNDAMENTAL if k % 2 == 0 else TerminalKind.BUBBLY)
+    solved = [0]
+    original = solver._solve_share
+
+    def counted(*args):
+        solved[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_solve_share", counted)
+    sc = solve_scenario(params, BeliefSchedule(tuple(beliefs)), beliefs[-1][1], kinds, T)
+    pads = [solver._terminal_seed(params, believed, kind)[2]
+            for (_, believed), kind in zip(beliefs, kinds)]
+    assert solved[0] == sum(T + pad - a for (a, _), pad in zip(beliefs, pads))
+
+    bounds = [a for a, _ in beliefs] + [T + 1]
+    for k, ((a, believed), kind) in enumerate(zip(beliefs, kinds)):
+        alone = solve_path(params, believed, kind, T)
+        window = slice(a, bounds[k + 1])
+        assert list(sc.belief_index[window]) == [k] * (bounds[k + 1] - a)
+        for name in ("e_y", "e_o", "s", "P", "r", "residuals", "S", "c_y", "c_o"):
+            assert (getattr(sc, name)[window].tobytes()
+                    == getattr(alone, name)[window].tobytes()), (k, name)
+    assert sc.S_after == alone.S_after
 
 
 def test_scenario_unanticipated_revisions():
