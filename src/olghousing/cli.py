@@ -53,6 +53,13 @@ SWEEP_HEADER = ["gamma_inv", "w_inv", "regime", "w_f_star", "w_b_star",
 # every CSV float cell; each CSV row is one %-format over its record
 _FLOAT = "%.12g"
 _PATH_ROW = ",".join(["%d", *[_FLOAT] * (len(PATH_HEADER) - 2), "%d"])
+# one path record as an element of the "rows" list of json.dumps(..., indent=2):
+# %r is the float repr json writes; it differs from JSON only on nan and
+# inf, and every path cell is finite, since the solver and the analytics
+# reject non-finite prices, rents and rates before any row is written
+_PATH_JSON_ROW = "    {\n" + ",\n".join(
+    f'      "{name}": {"%d" if name in ("t", "belief_index") else "%r"}'
+    for name in PATH_HEADER) + "\n    }"
 _SWEEP_ROW = ",".join(["%s"] * len(SWEEP_HEADER))
 
 
@@ -534,6 +541,14 @@ def _csv_text(header: Sequence[str], lines: list[str]) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
+def _path_json(summary: dict, rows: list[tuple]) -> str:
+    """``json.dumps({**summary, "rows": records}, indent=2)``, with each
+    record written by ``_PATH_JSON_ROW``."""
+    # the summary without its closing "\n}", then the rows as its last key
+    return "%s,\n  \"rows\": [\n%s\n  ]\n}" % (
+        json.dumps(summary, indent=2)[:-2], ",\n".join([_PATH_JSON_ROW % row for row in rows]))
+
+
 _PATH_COMMANDS = {"solve": cmd_solve, "scenario": cmd_scenario, "credit": cmd_credit}
 
 
@@ -553,9 +568,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             header, row_format, rows = PATH_HEADER, _PATH_ROW, _path_rows(path)
         # JSON only without --out; a path's summary goes to stdout beside a CSV file
         if args.format == "json" and args.out is None:
-            records = [dict(zip(header, row)) for row in rows]
-            doc = records if summary is None else {**summary, "rows": records}
-            _emit(json.dumps(doc, indent=2), None)
+            _emit(json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+                  if summary is None else _path_json(summary, rows), None)
         else:
             _emit(_csv_text(header, [row_format % row for row in rows]), args.out)
             if args.out is not None and summary is not None:

@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import olghousing
-from olghousing.cli import (_FIELDS, PATH_HEADER, SWEEP_HEADER, AnnouncementSpec, RunConfig,
-                            _axis, main)
+from olghousing.cli import (_FIELDS, _PATH_JSON_ROW, PATH_HEADER, SWEEP_HEADER,
+                            AnnouncementSpec, RunConfig, _axis, _path_json, main)
 from olghousing.errors import ConfigError
 from test_cli_golden import CASES, CONFIGS, GOLDEN, OUT
 
@@ -335,6 +335,31 @@ def test_solve_json_format_includes_rows(tmp_path, capsys):
     assert len(doc["rows"]) == FUND["T"] + 1
     assert doc["rows"][0]["q"] == 1.0
     assert doc["bubble"]["is_bubble"] is False
+
+
+def test_json_path_rows_are_the_bytes_of_json_dumps():
+    # extremes of float repr: the least subnormal, large exponents, a float
+    # past 2**53, negative zero and 17-digit mantissas
+    cells = [5e-324, 1e300, 1e16, float(2 ** 60), -0.0, 0.30000000000000004,
+             1.2345678901234567e-7, 2.220446049250313e-16, 123456789.01234567, 1.0 / 3.0,
+             -1.7976931348623157e308, 4.9406564584124654e-322]
+    rows = [(t, *(cells[(t + i) % len(cells)] for i in range(len(PATH_HEADER) - 2)), t % 3)
+            for t in range(len(cells))]
+    records = [dict(zip(PATH_HEADER, row)) for row in rows]
+    for row, record in zip(rows, records):
+        indented = json.dumps([record], indent=2).splitlines()[1:-1]
+        assert _PATH_JSON_ROW % row == "\n".join("  " + line for line in indented)
+    summary = {"command": "solve", "T": len(rows) - 1, "tail": {"price_growth": 1.1},
+               "revision_dates": [], "note": None}
+    assert _path_json(summary, rows) == json.dumps({**summary, "rows": records}, indent=2)
+
+
+def test_solve_json_is_json_dumps_of_its_document(tmp_path, capsys):
+    for command, doc in (("solve", FUND), ("scenario", SCENARIO_4A)):
+        code, out, _ = run_main(capsys, [command, "--config", write_config(tmp_path, doc),
+                                         "--format", "json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_solve_possibility_requires_explicit_terminal(tmp_path, capsys):
