@@ -311,21 +311,19 @@ def _long_run(params: EconomyParams, regime: Regime) -> tuple[dict, dict]:
 
     States are keyed by the long run's name in lower case (none at gamma > 1).
     Verdicts are keyed "fundamental" and "bubbly", both always present for
-    gamma < 1 and absent otherwise: the fundamental one is None at or below
-    w_f_star, where that long run cannot exist, while the bubbly one reads
-    "Efficient" even at or above w_b_star, where there is no bubbly state,
-    since every long run counts as efficient there.
+    gamma < 1 and absent otherwise: the fundamental one is None wherever
+    ``regime.long_runs`` lists no fundamental long run, while the bubbly one
+    reads "Efficient" even at or above w_b_star, where there is no bubbly
+    state, since every long run counts as efficient there.
     """
     reports = {kind.value.lower(): steady_state(params, kind) for kind in regime.long_runs}
     states = {name: rep for name, rep in reports.items() if rep is not None}
     welfare = {}
     if params.housing.gamma < 1.0:
-        for name, kind in (("fundamental", LongRunKind.FUNDAMENTAL_LONG_RUN),
-                           ("bubbly", LongRunKind.BUBBLY_LONG_RUN)):
-            try:
-                welfare[name] = welfare_class(params, kind).value
-            except ModelError:
-                welfare[name] = None
+        welfare["fundamental"] = (
+            welfare_class(params, LongRunKind.FUNDAMENTAL_LONG_RUN).value
+            if TerminalKind.FUNDAMENTAL in regime.long_runs else None)
+        welfare["bubbly"] = welfare_class(params, LongRunKind.BUBBLY_LONG_RUN).value
     return states, welfare
 
 

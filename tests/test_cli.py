@@ -825,6 +825,27 @@ def test_fundamental_level_rounding_to_a_pole_keeps_the_error_contract(tmp_path,
     assert json.loads(err)["error"] == "RegimeError"
 
 
+def test_an_unlisted_fundamental_long_run_has_no_welfare_verdict(tmp_path, capsys):
+    # classify lists no fundamental long run here, so neither regimes nor
+    # the sweep cell of the same economy may call one (in)efficient
+    code, out, err = run_main(capsys, ["regimes", "--config",
+                                       write_config(tmp_path, ULP_ABOVE_W_F)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert "fundamental" not in doc["steady_states"]
+    assert doc["welfare"] == {"fundamental": None, "bubbly": "Efficient"}
+    gamma_inv, w_inv = 1.0 / ULP_ABOVE_W_F["gamma"], 1.0 / ULP_ABOVE_W_F["e2"]
+    sweep = {key: ULP_ABOVE_W_F[key] for key in ("beta", "sigma", "m", "G")}
+    sweep.update(gamma_inv_min=gamma_inv, gamma_inv_max=2.0 * gamma_inv,
+                 w_inv_min=w_inv, w_inv_max=2.0 * w_inv, resolution=2)
+    code, out, err = run_main(capsys, ["sweep", "--config", write_config(tmp_path, sweep)])
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    cell = dict(zip(header, rows[0]))
+    assert (float(cell["gamma_inv"]), float(cell["w_inv"])) == pytest.approx((gamma_inv, w_inv))
+    assert cell["regime"] == "BubblePossibility" and cell["efficient_fundamental"] == ""
+
+
 # thresholds 107 ulps apart: this income ratio, 1 ulp above w_b_star, is too
 # close to w_f_star for the fundamental level to be representable, so neither
 # long run is listed; BOUNDARY_TOL is below an ulp here, so no boundary either
