@@ -363,12 +363,9 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
     return seed, rep.lambda1, min(max(math.ceil(28.0 / math.log(abs(rep.lambda1))), 60), 5000)
 
 
-def _price_date(agg: CesAggregator, gamma: float, rent_scale: float,
-                share_next_scaled: float, z_hat: float, u: float, y: float,
-                S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:
-    """``(P, r, residual)`` at a solved date, from the equation's ``_terms`` at
-    share ``u`` and young consumption share ``y``."""
-    a, b, rent, _, cy, cz, _ = _terms(agg, gamma, rent_scale, share_next_scaled, z_hat, u, y)
+def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:
+    """``(P, r, residual)`` at a solved date, from the equation's ``_terms`` at its root."""
+    a, b, rent, _, cy, cz, _ = terms
     # price and rent from their own first-order conditions; this avoids
     # the cancellation in S - r when the price is a sliver of S, and in
     # S - P when the rent is (the marginal utilities are scale free)
@@ -462,7 +459,8 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             # would lose its precision once u nears 1
             y = w if upper else 1.0 - u
             P[t - first], r[t - first], residuals[t - first] = _price_date(
-                agg, gamma, rent_scale, share_next_scaled, z_hat, u, y, S_next, e_y[t], t)
+                _terms(agg, gamma, rent_scale, share_next_scaled, z_hat, u, y),
+                S_next, e_y[t], t)
     if log.isEnabledFor(logging.DEBUG):
         largest = max(residuals)
         log.debug(
