@@ -313,8 +313,6 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     # the final correction moves the last evaluated point's w by the factor
     # e^dx; applied to w and u directly, it is not rounded away
     w = near * math.exp(d)
-    if not upper and w >= 1.0:
-        raise SolverError("share root pinned against full young income")
     shift = w * math.expm1(dx)
     u, w = (1.0 - w - shift, w + shift) if upper else (w + shift, w + shift)
     if u >= 1.0:
