@@ -348,17 +348,22 @@ def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
     The backward recursion contracts seed error by 1/|lambda1| per step, so
     around 28 e-foldings leave a relative error of about e^-28 ~ 6.9e-13 at
     date T, not machine precision: tripling this pad moves a fundamental
-    path's s_T (seeded at 0) by 6.2-6.8e-13. The seed is always at least
-    one period beyond the horizon so every returned date has a successor.
-    A fundamental seed is share 0: its steady state is a detrended level.
+    path's s_T (seeded at 0) by 6.2-6.8e-13. The pad is 60 to 5000
+    periods, and 1 only for a seed that is exact: the gamma = 1 share, and
+    a bubbly share that is not a saddle. A fundamental seed is share 0 (its
+    steady state is a detrended level), never exact, so it takes 5000
+    periods where |lambda1| is too close to 1 for 28 e-foldings.
     """
     rep = steady_state(endowments.final_params(params), terminal)
     if rep is None:
         return 1.0 - 1e-6, None, 150
-    seed = 0.0 if rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED else rep.s_star
-    if rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH or not abs(rep.lambda1) > 1.0 + 1e-12:
+    fundamental = rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED
+    seed = 0.0 if fundamental else rep.s_star
+    if not fundamental and (rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH
+                            or not abs(rep.lambda1) > 1.0 + 1e-12):
         return seed, rep.lambda1, 1
-    return seed, rep.lambda1, min(max(math.ceil(28.0 / math.log(abs(rep.lambda1))), 60), 5000)
+    rate = math.log(abs(rep.lambda1)) if abs(rep.lambda1) > 1.0 else 0.0
+    return seed, rep.lambda1, max(math.ceil(28.0 / rate), 60) if rate > 28.0 / 5000 else 5000
 
 
 def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:

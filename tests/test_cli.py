@@ -18,6 +18,7 @@ import olghousing
 from olghousing.cli import (_FIELDS, _PATH_JSON_ROW, PATH_HEADER, SWEEP_HEADER,
                             AnnouncementSpec, RunConfig, _axis, _path_json, main)
 from olghousing.errors import ConfigError
+from olghousing.regimes import thresholds
 from test_cli_golden import CASES, CONFIGS, GOLDEN, OUT
 
 BASE = {"beta": 0.5, "sigma": 1.0, "gamma": 0.5, "m": 0.1, "G": 1.1}
@@ -823,6 +824,16 @@ def test_fundamental_level_rounding_to_a_pole_keeps_the_error_contract(tmp_path,
     code, out, err = run_main(capsys, ["solve", "--config", config])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "RegimeError"
+
+
+def test_fundamental_path_one_ulp_above_w_f_star_solves(tmp_path, capsys):
+    # |lambda1| rounds to within 1e-12 of 1 here, so the zero seed needs the longest pad
+    params = RunConfig.from_dict(dict(BASE, e1=1.0, e2=1.0)).economy()
+    e2 = math.nextafter(thresholds(params).w_f_star, math.inf)
+    doc = dict(BASE, e1=1.0, e2=e2, T=100, terminal="Fundamental")
+    code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 102
 
 
 def test_an_unlisted_fundamental_long_run_has_no_welfare_verdict(tmp_path, capsys):

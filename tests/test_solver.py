@@ -16,7 +16,7 @@ from olghousing.errors import (
     SolverError,
 )
 from olghousing.preferences import CesAggregator, HousingUtility
-from olghousing.regimes import EconomyParams, bubbly_steady_state, credit_transform
+from olghousing.regimes import EconomyParams, bubbly_steady_state, credit_transform, thresholds
 from olghousing.solver import (
     BeliefSchedule,
     EndowmentPath,
@@ -286,6 +286,24 @@ def test_seed_pad_override_agrees_with_auto():
     auto = solve_path(BUB, None, TerminalKind.BUBBLY, 100)
     manual = solve_path(BUB, None, TerminalKind.BUBBLY, 100, seed_pad=400)
     assert np.allclose(auto.S, manual.S, rtol=1e-12, atol=0.0)
+
+
+def _near_w_f_star(offset):
+    # income ratio just above w_f_star (e1 = 1): the fundamental |lambda1|
+    # is within about 1e-13 of 1, or rounds to it for offset None (one ulp)
+    w_f = thresholds(make_params(e1=1.0, e2=1.0)).w_f_star
+    return make_params(e1=1.0, e2=math.nextafter(w_f, 2.0) if offset is None else w_f + offset)
+
+
+@pytest.mark.parametrize("offset", [None, 1e-14, 1e-13], ids=["one-ulp", "1e-14", "1e-13"])
+def test_fundamental_path_just_above_w_f_star(offset):
+    # a zero seed takes the longest pad there, never the one date past T
+    # that would price date T at 0
+    T = 100
+    path = solve_path(_near_w_f_star(offset), None, TerminalKind.FUNDAMENTAL, T)
+    reference = solve_path(_near_w_f_star(1e-11), None, TerminalKind.FUNDAMENTAL, T)
+    assert path.residuals.max() <= 1e-15
+    assert np.allclose(path.S, reference.S, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("params,terminal",
