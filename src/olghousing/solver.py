@@ -136,7 +136,7 @@ class EndowmentPath:
                 if not (math.isfinite(e_y) and math.isfinite(e_o)):
                     raise HorizonError(
                         f"endowment level is not finite at date {t} (G={float(seg.G)!r}); "
-                        "shorten the horizon or the terminal padding"
+                        "shorten the horizon"
                     )
                 young.append(float(e_y))
                 old.append(float(e_o))
@@ -376,7 +376,7 @@ def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[floa
     if not price > 0.0:
         raise HorizonError(
             f"nonpositive house price at date {t}: P={price!r}; "
-            "the horizon or terminal padding is too short"
+            "no positive float represents it"
         )
     rent_level = (rent / cy) * e_y_t
     if not rent_level >= _NORMAL_MIN:
@@ -446,9 +446,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             u, w, rent_scale, calls, steps = _solve_share(
                 agg, housing, share_next_scaled, z_hat, e_y[t], near, step)
         except HorizonError as exc:
-            raise HorizonError(
-                f"{exc} (date {t}); shorten the horizon or the terminal padding"
-            ) from None
+            raise HorizonError(f"{exc} (date {t}); shorten the horizon") from None
         shares[t] = u
         if near is not None:
             step = math.log(w / near)
