@@ -2,9 +2,10 @@
 
 The equilibrium machinery is written for the CES aggregator c(y, z) over
 young- and old-age consumption, whose closed-form thresholds locate the
-regimes; it only ever calls ``value``, ``partials``, ``value_partials``,
-``second_partials``, ``mrs`` and ``eis``. The unit-elasticity member
-(Cobb-Douglas) is an exact branch, never a numerical limit.
+regimes; it calls ``value_partials`` (the value, both first partials and
+the cross partial at one point) and ``eis``, and ``value`` and ``partials``
+give parts of the first. The unit-elasticity member (Cobb-Douglas) is an
+exact branch, never a numerical limit.
 """
 from __future__ import annotations
 
@@ -84,23 +85,6 @@ class CesAggregator:
         cz = self.beta * (z / c) ** (-self.sigma)
         # cross partial from the CES curvature identity c_yz = sigma c_y c_z / c
         return c, cy, cz, self.sigma * cy * cz / c
-
-    def second_partials(self, y: float, z: float) -> tuple[float, float, float]:
-        """Second partial derivatives (c_yy, c_yz, c_zz), signs (-, +, -)."""
-        # the own partials follow from degree-zero homogeneity of the first partials
-        cyz = self.value_partials(y, z)[3]
-        cyy = -(z / y) * cyz
-        czz = -(y / z) * cyz
-        return cyy, cyz, czz
-
-    def mrs(self, y: float, z: float) -> float:
-        """Marginal rate of substitution c_y / c_z.
-
-        Strictly decreasing in y and increasing in z; homogeneous of
-        degree zero.
-        """
-        cy, cz = self.partials(y, z)
-        return cy / cz
 
     def eis(self, y: float, z: float) -> float:
         """Elasticity of intertemporal substitution c_y c_z / (c c_yz)."""

@@ -11,6 +11,20 @@ import pytest
 
 from olghousing import CesAggregator, DomainError, HousingUtility
 
+
+def second_partials(agg, y, z):
+    """(c_yy, c_yz, c_zz): the cross partial, and the own partials from it by
+    degree-zero homogeneity of the first partials."""
+    cyz = agg.value_partials(y, z)[3]
+    return -(z / y) * cyz, cyz, -(y / z) * cyz
+
+
+def mrs(agg, y, z):
+    """Marginal rate of substitution c_y / c_z."""
+    cy, cz = agg.partials(y, z)
+    return cy / cz
+
+
 # (beta, sigma, y, z) -> (c, c_y, c_z, c_yy, c_yz, c_zz, mrs, eis)
 FROZEN = {
     (0.4, 1.7, 1.3, 0.8): (
@@ -49,17 +63,17 @@ FROZEN = {
 @pytest.mark.parametrize("point", sorted(FROZEN))
 def test_frozen_point_values(point):
     beta, sigma, y, z = point
-    c, cy, cz, cyy, cyz, czz, mrs, eis = FROZEN[point]
+    c, cy, cz, cyy, cyz, czz, frozen_mrs, eis = FROZEN[point]
     agg = CesAggregator(beta=beta, sigma=sigma)
     assert agg.value(y, z) == pytest.approx(c, rel=1e-14)
     got_cy, got_cz = agg.partials(y, z)
     assert got_cy == pytest.approx(cy, rel=1e-14)
     assert got_cz == pytest.approx(cz, rel=1e-14)
-    got_cyy, got_cyz, got_czz = agg.second_partials(y, z)
+    got_cyy, got_cyz, got_czz = second_partials(agg, y, z)
     assert got_cyy == pytest.approx(cyy, rel=1e-13)
     assert got_cyz == pytest.approx(cyz, rel=1e-13)
     assert got_czz == pytest.approx(czz, rel=1e-13)
-    assert agg.mrs(y, z) == pytest.approx(mrs, rel=1e-13)
+    assert mrs(agg, y, z) == pytest.approx(frozen_mrs, rel=1e-13)
     assert agg.eis(y, z) == pytest.approx(eis, rel=1e-13)
 
 
@@ -67,7 +81,7 @@ def test_symmetric_identities():
     agg = CesAggregator(beta=0.5, sigma=1.0)
     assert agg.value(1.0, 1.0) == 1.0
     assert agg.partials(1.0, 1.0) == (0.5, 0.5)
-    assert agg.second_partials(1.0, 1.0)[1] == pytest.approx(0.25, rel=1e-15)
+    assert agg.value_partials(1.0, 1.0)[3] == pytest.approx(0.25, rel=1e-15)
     assert CesAggregator(beta=0.5, sigma=2.0).value(2.0, 2.0) == pytest.approx(2.0, rel=1e-15)
 
 
@@ -100,18 +114,16 @@ def test_homogeneity_and_euler(beta, sigma):
         cy2, cz2 = agg.partials(3.0 * y, 3.0 * z)
         assert cy2 == pytest.approx(cy, rel=1e-12)
         assert cz2 == pytest.approx(cz, rel=1e-12)
-        assert agg.mrs(2.0 * y, 2.0 * z) == pytest.approx(agg.mrs(y, z), rel=1e-12)
+        assert mrs(agg, 2.0 * y, 2.0 * z) == pytest.approx(mrs(agg, y, z), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (0.4, 1.7), (0.3, 0.5), (0.7, 4.0)])
 def test_value_partials_is_value_and_partials(beta, sigma):
     agg = CesAggregator(beta=beta, sigma=sigma)
     for y, z in _random_grid():
-        expected = (agg.value(y, z), *agg.partials(y, z), agg.second_partials(y, z)[1])
-        assert agg.value_partials(y, z) == expected
-        c, cy, cz, cyz = expected
+        c, cy, cz, cyz = agg.value_partials(y, z)
+        assert (c, cy, cz) == (agg.value(y, z), *agg.partials(y, z))
         assert agg.eis(y, z) == cy * cz / (c * cyz)
-        assert agg.mrs(y, z) == cy / cz
 
 
 @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (0.4, 1.7), (0.3, 0.5)])
@@ -131,7 +143,7 @@ def test_second_partials_match_finite_differences(beta, sigma):
     agg = CesAggregator(beta=beta, sigma=sigma)
     h = 1e-6
     for y, z in _random_grid(n=50, lo=0.5, hi=5.0):
-        cyy, cyz, czz = agg.second_partials(y, z)
+        cyy, cyz, czz = second_partials(agg, y, z)
         assert cyy < 0.0 and cyz > 0.0 and czz < 0.0
         fd_cyy = (agg.partials(y + h, z)[0] - agg.partials(y - h, z)[0]) / (2 * h)
         fd_cyz = (agg.partials(y, z + h)[0] - agg.partials(y, z - h)[0]) / (2 * h)
@@ -147,18 +159,18 @@ def test_second_partials_cross_symmetry():
     h = 1e-6
     y, z = 1.3, 0.8
     fd_czy = (agg.partials(y + h, z)[1] - agg.partials(y - h, z)[1]) / (2 * h)
-    assert agg.second_partials(y, z)[1] == pytest.approx(fd_czy, rel=1e-6)
+    assert agg.value_partials(y, z)[3] == pytest.approx(fd_czy, rel=1e-6)
 
 
 def test_mrs_monotone():
     agg = CesAggregator(beta=0.4, sigma=1.7)
     z = 1.5
     ys = np.linspace(0.2, 5.0, 40)
-    vals = [agg.mrs(y, z) for y in ys]
+    vals = [mrs(agg, y, z) for y in ys]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     y = 0.9
     zs = np.linspace(0.2, 5.0, 40)
-    vals = [agg.mrs(y, zv) for zv in zs]
+    vals = [mrs(agg, y, zv) for zv in zs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

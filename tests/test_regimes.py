@@ -283,7 +283,9 @@ def _raw_eigenvalue(params, s):
     agg, G, w = params.agg, params.G, params.income_ratio
     y, z = 1.0 - s, G * (w + s)
     cy, cz = agg.partials(y, z)
-    cyy, cyz, czz = agg.second_partials(y, z)
+    # the own second partials from c_yz, by degree-zero homogeneity of c_y and c_z
+    cyz = agg.value_partials(y, z)[3]
+    cyy, czz = -(z / y) * cyz, -(y / z) * cyz
     n = G * s * cyz + cy - s * cyy
     d = G * cz + G * G * s * czz - G * s * cyz
     return n / d
@@ -337,7 +339,8 @@ def test_bubbly_state_satisfies_defining_identity():
     for params in (BUBBLY, ASYM):
         rep = bubbly_steady_state(params)
         s, G, w = rep.s_star, params.G, params.income_ratio
-        assert params.agg.mrs(1.0 - s, G * (w + s)) == pytest.approx(G, rel=1e-10)
+        cy, cz = params.agg.partials(1.0 - s, G * (w + s))
+        assert cy / cz == pytest.approx(G, rel=1e-10)
 
 
 def test_bubbly_steady_state_errors():

@@ -238,8 +238,8 @@ def test_path_rate_identities(solved):
     # between young and old consumption of the generation born at t
     assert np.allclose(path.R[:T] * path.P[:T], path.S[1:], rtol=1e-12, atol=0.0)
     for t in range(0, T, max(1, T // 17)):
-        mrs = params.agg.mrs(path.c_y[t], path.c_o[t + 1])
-        assert path.R[t] == pytest.approx(mrs, rel=1e-10)
+        cy, cz = params.agg.partials(path.c_y[t], path.c_o[t + 1])
+        assert path.R[t] == pytest.approx(cy / cz, rel=1e-10)
 
 
 def test_path_rent_from_marginal_utility(solved):
