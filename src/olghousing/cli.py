@@ -133,7 +133,6 @@ class RunConfig:
     e2: float | None = _number(float, above=0.0)
     T: int = _number(int, 200, at_least=1)
     tail_window: int = _number(int, 20, at_least=2)
-    seed_pad: int | None = _number(int, at_least=1)
     # the bubble and efficiency verdicts cut tail ratios at 1 - delta, kept positive
     delta: float = _number(float, 1e-3, above=0.0, below=1.0)
     terminal: str | None = None
@@ -350,7 +349,7 @@ def _solve(cfg: RunConfig, params: EconomyParams) -> EquilibriumPath:
     """Single-belief path of ``params`` over the configured horizon."""
     terminal = _infer_terminal(params, cfg.terminal)
     _check_tail_window(cfg)
-    return solve_path(params, None, terminal, cfg.T, seed_pad=cfg.seed_pad)
+    return solve_path(params, None, terminal, cfg.T)
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
@@ -387,7 +386,7 @@ def cmd_scenario(cfg: RunConfig) -> tuple[EquilibriumPath, dict]:
     params = cfg.economy()
     schedule, realized, kinds = _belief_paths(cfg)
     _check_tail_window(cfg, realized.balanced_from)
-    path = solve_scenario(params, schedule, realized, kinds, cfg.T, seed_pad=cfg.seed_pad)
+    path = solve_scenario(params, schedule, realized, kinds, cfg.T)
     summary = _summarize_path("scenario", cfg, path)
     summary["beliefs"] = [
         {"announce_date": a, "balanced_from": p.balanced_from,

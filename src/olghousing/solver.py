@@ -392,15 +392,14 @@ def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[floa
 
 
 def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind | str,
-              T: int, first: int, stop: int, seed_pad: int | None) -> tuple:
+              T: int, first: int, stop: int) -> tuple:
     """One belief's equilibrium, solved backwards from its terminal seed down to date ``first``.
 
     The seed is the steady state of the requested long run, planted ``pad``
-    periods beyond T (automatic unless ``seed_pad`` is given). Each date's
-    share is solved once, and dates ``first..stop-1`` are also priced from
-    the equation solved there. A date's root and its warm start read only
-    later dates, so every returned date carries the same bits as in a solve
-    down to date 0.
+    periods beyond T (``_terminal_seed``). Each date's share is solved once,
+    and dates ``first..stop-1`` are also priced from the equation solved
+    there. A date's root and its warm start read only later dates, so every
+    returned date carries the same bits as in a solve down to date 0.
 
     Returns ``(e_y, e_o, s, P, r, residuals, S_stop)``: lists over dates
     ``first..stop-1``, and the expenditure at date ``stop``.
@@ -412,8 +411,6 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
         )
     terminal = TerminalKind(terminal)
     seed_share, lambda1, pad = _terminal_seed(params, endowments, terminal)
-    if seed_pad is not None:
-        pad = max(int(seed_pad), 1)
     t_seed = T + pad
     log.debug(
         "solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s",
@@ -477,15 +474,14 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
 def solve_path(params: EconomyParams,
                endowments: EndowmentPath | None,
                terminal: TerminalKind | str,
-               T: int,
-               seed_pad: int | None = None) -> EquilibriumPath:
+               T: int) -> EquilibriumPath:
     """Equilibrium path on dates 0..T for one fixed belief.
 
     The terminal condition seeds the expenditure share at the steady state
-    of the requested long run, ``pad`` periods beyond T (automatic unless
-    ``seed_pad`` is given), then walks the equilibrium equation backwards.
-    Each date is solved once: on dates 0..T the equation solved for the
-    share also gives the price, rent and residual.
+    of the requested long run, ``pad`` periods beyond T (``_terminal_seed``),
+    then walks the equilibrium equation backwards. Each date is solved once:
+    on dates 0..T the equation solved for the share also gives the price,
+    rent and residual.
 
     Raises a regime error when the final segment does not admit the
     requested terminal, and a horizon error when the horizon precedes the
@@ -497,7 +493,7 @@ def solve_path(params: EconomyParams,
     if endowments is None:
         endowments = EndowmentPath.from_params(params, T)
     e_y, e_o, s, P, r, residuals, S_after = _backward(params, endowments, terminal,
-                                                      T, 0, T + 1, seed_pad)
+                                                      T, 0, T + 1)
     return EquilibriumPath(
         e_y=np.array(e_y), e_o=np.array(e_o), s=np.array(s), P=np.array(P), r=np.array(r),
         belief_index=np.zeros(T + 1, dtype=int),
@@ -512,8 +508,7 @@ def solve_scenario(params: EconomyParams,
                    schedule: BeliefSchedule,
                    realized: EndowmentPath,
                    terminals: Sequence[TerminalKind | str],
-                   T: int,
-                   seed_pad: int | None = None) -> EquilibriumPath:
+                   T: int) -> EquilibriumPath:
     """Equilibrium under a sequence of belief revisions.
 
     Solves each announced belief from its seed down to its announcement
@@ -549,7 +544,7 @@ def solve_scenario(params: EconomyParams,
     columns: list[list[float]] = [[], [], [], [], [], []]
     for k, (a_k, believed) in enumerate(announcements):
         *window, S_after = _backward(params, believed, terminals[k], T,
-                                     a_k, bounds[k + 1], seed_pad)
+                                     a_k, bounds[k + 1])
         for column, part in zip(columns, window):
             column.extend(part)
     log.debug("solve_scenario: %d beliefs over horizon %d", len(announcements), T)

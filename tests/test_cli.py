@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import olghousing
+from olghousing import solver
 from olghousing.cli import (_FIELDS, _PATH_JSON_ROW, PATH_HEADER, SWEEP_HEADER,
                             AnnouncementSpec, RunConfig, _axis, _path_json, main)
 from olghousing.errors import ConfigError
@@ -52,9 +53,9 @@ def run_main(capsys, argv):
 # ---------------------------------------------------------------- config
 
 def test_config_round_trip_bit_for_bit():
-    doc = dict(BUB, seed_pad=77, tail_window=25, delta=0.002, terminal="Bubbly")
+    doc = dict(BUB, tail_window=25, delta=0.002, terminal="Bubbly")
     cfg = RunConfig.from_dict(doc)
-    assert cfg.seed_pad == 77 and cfg.tail_window == 25
+    assert cfg.tail_window == 25
     assert cfg.delta == 0.002 and cfg.terminal == "Bubbly"
     assert RunConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 
@@ -75,10 +76,9 @@ def test_config_defaults():
     cfg = RunConfig.from_dict(dict(BASE, e1=95.0, e2=105.0))
     assert cfg.T == 200
     assert cfg.tail_window == 20
-    assert cfg.seed_pad is None
     assert cfg.delta == 1e-3
     # null stands for an absent key
-    nulls = dict.fromkeys(["T", "tail_window", "seed_pad", "delta", "terminal",
+    nulls = dict.fromkeys(["T", "tail_window", "delta", "terminal",
                            "announcements", "terminals", "lambda", "resolution"])
     assert RunConfig.from_dict(dict(BASE, e1=95.0, e2=105.0, **nulls)) == cfg
 
@@ -161,8 +161,6 @@ NUMERIC_KEY_ERRORS = {
           (0, "must be at least 1, got 0")],
     "tail_window": [(20.0, f"{_INTEGER} 20.0"), (True, f"{_INTEGER} True"),
                     (1, "must be at least 2, got 1")],
-    "seed_pad": [(2.5, f"{_INTEGER} 2.5"), (True, f"{_INTEGER} True"),
-                 (0, "must be at least 1, got 0")],
     "delta": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
               (0.0, "must be above 0.0, got 0.0"), (1.5, "must be below 1.0, got 1.5")],
     "lambda": [("half", f"{_NUMBER} 'half'"), (True, f"{_NUMBER} True"),
@@ -589,6 +587,13 @@ def test_removed_tol_key_is_an_unknown_key(tmp_path, capsys):
     assert payload["error"] == "ConfigError" and payload["field"] == "tol"
 
 
+def test_removed_seed_pad_key_is_an_unknown_key():
+    # the terminal pad is always sized from the seed's eigenvalue; there is no key to set it
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_dict(dict(BUB, seed_pad=60))
+    assert (info.value.field, info.value.message) == ("seed_pad", "unknown configuration key")
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -731,8 +736,11 @@ def test_tail_window_beyond_final_segment_rejected_before_solving(tmp_path, caps
     assert payload["field"] == "tail_window"
 
 
-def test_horizon_error_message_prints_plain_floats(tmp_path, capsys):
-    doc = dict(BASE, e1=94.0, e2=106.0, T=50, seed_pad=1)
+def test_horizon_error_message_prints_plain_floats(tmp_path, capsys, monkeypatch):
+    # a zero fundamental seed one date past T prices date T at exactly 0
+    seed = solver._terminal_seed
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (*seed(*args)[:2], 1))
+    doc = dict(BASE, e1=94.0, e2=106.0, T=50)
     code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
     assert code == 2 and out == ""
     payload = json.loads(err)
@@ -923,7 +931,6 @@ def _economy_configs():
         },
         optional={
             "terminal": st.sampled_from(_TERMINAL_KINDS),
-            "seed_pad": st.integers(1, 400),
             "lambda": st.floats(0.0, 0.6, **_FINITE),
             "tail_window": st.integers(2, 40),
             "delta": st.floats(1e-6, 0.5, **_FINITE),

@@ -282,9 +282,12 @@ def test_pad_invariance_on_shared_dates():
         assert np.allclose(short.P, long.P[:101], rtol=1e-12, atol=0.0)
 
 
-def test_seed_pad_override_agrees_with_auto():
+def test_seed_pad_override_agrees_with_auto(monkeypatch):
+    # the automatic pad is long enough: a 400-period pad gives the same path
     auto = solve_path(BUB, None, TerminalKind.BUBBLY, 100)
-    manual = solve_path(BUB, None, TerminalKind.BUBBLY, 100, seed_pad=400)
+    seed = solver._terminal_seed
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (*seed(*args)[:2], 400))
+    manual = solve_path(BUB, None, TerminalKind.BUBBLY, 100)
     assert np.allclose(auto.S, manual.S, rtol=1e-12, atol=0.0)
 
 
@@ -500,10 +503,13 @@ def test_solve_path_logs_its_root_finding_effort(caplog):
     assert residual == float(f"{path.residuals.max():.3g}")
 
 
-def test_error_messages_print_plain_floats():
+def test_error_messages_print_plain_floats(monkeypatch):
+    # a zero fundamental seed one date past T prices date T at exactly 0
     params = make_params(e1=94.0, e2=106.0)
+    seed = solver._terminal_seed
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (*seed(*args)[:2], 1))
     with pytest.raises(HorizonError) as info:
-        solve_path(params, None, TerminalKind.FUNDAMENTAL, 50, seed_pad=1)
+        solve_path(params, None, TerminalKind.FUNDAMENTAL, 50)
     message = str(info.value)
     assert "at date 50" in message and "P=0.0;" in message
     assert "np.float64" not in message
