@@ -471,6 +471,33 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             shares[stop] * e_y[stop])
 
 
+def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentPath]],
+            terminals: Sequence[TerminalKind | str], T: int,
+            realized: EndowmentPath) -> EquilibriumPath:
+    """The path on dates 0..T that each belief solves from its announcement on.
+
+    Belief ``k`` is solved down to its announcement date and its dates up to
+    the next announcement are kept; the record ends with the last belief's
+    expenditure at T+1.
+    """
+    bounds = [a for a, _ in announcements] + [T + 1]
+    # e_y, e_o, s, P, r and residuals, each belief's window after the last
+    columns: list[list[float]] = [[], [], [], [], [], []]
+    for k, (a_k, believed) in enumerate(announcements):
+        *window, S_after = _backward(params, believed, terminals[k], T, a_k, bounds[k + 1])
+        for column, part in zip(columns, window):
+            column.extend(part)
+    e_y, e_o, s, P, r, residuals = (np.array(column) for column in columns)
+    return EquilibriumPath(
+        e_y=e_y, e_o=e_o, s=s, P=P, r=r, residuals=residuals,
+        belief_index=np.repeat(np.arange(len(announcements)), np.diff(bounds)),
+        terminal_kind=TerminalKind(terminals[-1]),
+        endowments=realized,
+        S_after=S_after,
+        revision_dates=tuple(a for a, _ in announcements[1:]),
+    )
+
+
 def solve_path(params: EconomyParams,
                endowments: EndowmentPath | None,
                terminal: TerminalKind | str,
@@ -492,16 +519,7 @@ def solve_path(params: EconomyParams,
         raise HorizonError(f"horizon must be at least 1, got {T}")
     if endowments is None:
         endowments = EndowmentPath.from_params(params, T)
-    e_y, e_o, s, P, r, residuals, S_after = _backward(params, endowments, terminal,
-                                                      T, 0, T + 1)
-    return EquilibriumPath(
-        e_y=np.array(e_y), e_o=np.array(e_o), s=np.array(s), P=np.array(P), r=np.array(r),
-        belief_index=np.zeros(T + 1, dtype=int),
-        residuals=np.array(residuals),
-        terminal_kind=TerminalKind(terminal),
-        endowments=endowments,
-        S_after=S_after,
-    )
+    return _stitch(params, ((0, endowments),), (terminal,), T, endowments)
 
 
 def solve_scenario(params: EconomyParams,
@@ -529,10 +547,10 @@ def solve_scenario(params: EconomyParams,
     if announcements[-1][0] > T:
         raise HorizonError("last announcement lies beyond the horizon")
 
-    bounds = [a for a, _ in announcements] + [T + 1]
+    ends = [a for a, _ in announcements[1:]] + [T + 1]
     real_y, real_o = realized.levels(T + 1)
-    for k, (a_k, believed) in enumerate(announcements):
-        believed_y, believed_o = believed.levels(min(bounds[k + 1], T + 1))
+    for (a_k, believed), end in zip(announcements, ends):
+        believed_y, believed_o = believed.levels(end)
         for t, (by, bo, ry, ro) in enumerate(zip(believed_y, believed_o, real_y, real_o)):
             if not (math.isclose(by, ry, rel_tol=1e-12) and math.isclose(bo, ro, rel_tol=1e-12)):
                 raise DomainError(
@@ -540,21 +558,6 @@ def solve_scenario(params: EconomyParams,
                     f"at date {t} (believed ({by:.6g}, {bo:.6g}), realized ({ry:.6g}, {ro:.6g}))"
                 )
 
-    # e_y, e_o, s, P, r and residuals, each belief's window after the last
-    columns: list[list[float]] = [[], [], [], [], [], []]
-    for k, (a_k, believed) in enumerate(announcements):
-        *window, S_after = _backward(params, believed, terminals[k], T,
-                                     a_k, bounds[k + 1])
-        for column, part in zip(columns, window):
-            column.extend(part)
+    path = _stitch(params, announcements, terminals, T, realized)
     log.debug("solve_scenario: %d beliefs over horizon %d", len(announcements), T)
-
-    e_y, e_o, s, P, r, residuals = (np.array(column) for column in columns)
-    return EquilibriumPath(
-        e_y=e_y, e_o=e_o, s=s, P=P, r=r, residuals=residuals,
-        belief_index=np.repeat(np.arange(len(announcements)), np.diff(bounds)),
-        terminal_kind=TerminalKind(terminals[-1]),
-        endowments=realized,
-        S_after=S_after,
-        revision_dates=tuple(a for a, _ in announcements[1:]),
-    )
+    return path

@@ -607,11 +607,20 @@ def test_belief_schedule_validation():
 
 
 def test_scenario_single_belief_equals_solve_path():
-    schedule = BeliefSchedule(((0, BASE_BELIEF),))
-    sc = solve_scenario(FUND, schedule, BASE_BELIEF, (TerminalKind.FUNDAMENTAL,), 120)
-    direct = solve_path(FUND, BASE_BELIEF, TerminalKind.FUNDAMENTAL, 120)
-    for name in ("S", "s", "P", "r", "R", "q", "c_y", "c_o", "residuals"):
-        assert np.array_equal(getattr(sc, name), getattr(direct, name)), name
+    # one belief takes the same path builder as a plain solve, on every branch
+    T = 300
+    for params, terminal in ((FUND, TerminalKind.FUNDAMENTAL), (BUB, TerminalKind.BUBBLY),
+                             (GAMMA1, TerminalKind.GAMMA1),
+                             (GAMMA15, TerminalKind.GAMMA_ABOVE_1)):
+        belief = EndowmentPath.from_params(params, T)
+        sc = solve_scenario(params, BeliefSchedule(((0, belief),)), belief, (terminal,), T)
+        direct = solve_path(params, belief, terminal, T)
+        for name in ("e_y", "e_o", "s", "P", "r", "residuals", "belief_index",
+                     "S", "R", "q", "c_y", "c_o"):
+            got, want = getattr(sc, name), getattr(direct, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (terminal, name)
+        assert sc.S_after == direct.S_after and sc.revision_dates == direct.revision_dates == ()
+        assert sc.terminal_kind is direct.terminal_kind is terminal
 
 
 def test_scenario_solves_each_belief_only_from_its_announcement(monkeypatch):
