@@ -53,33 +53,29 @@ class BubbleVerdict:
 
     ``ratio_estimate`` is the tail geometric growth of the rent-price
     ratio; the path is bubbly when that ratio decays (the rent-price sum
-    converges). ``partial_sums`` holds the running rent-price sums,
-    ``fundamental_value_0`` the truncated present value of rents plus a
-    geometric remainder, ``bubble_component_0`` the date-0 gap between
-    price and fundamental value, and ``tvc_tail`` the series of
-    present-value prices q_t P_t whose limit is the transversality check.
+    converges). ``fundamental_value_0`` is the truncated present value of
+    rents plus a geometric remainder, ``bubble_component_0`` the date-0 gap
+    between price and fundamental value, and ``tvc_last`` the present-value
+    price q_T P_T, whose limit is the transversality check.
     """
 
     is_bubble: bool
     ratio_estimate: float
-    partial_sums: np.ndarray
     fundamental_value_0: float
     bubble_component_0: float
-    tvc_tail: np.ndarray
+    tvc_last: float
 
 
 @dataclass(frozen=True)
 class EfficiencyVerdict:
     """Efficiency diagnosis of an equilibrium path.
 
-    ``criterion_sums`` accumulates the terms 1/(G^t q_t); divergence of
-    that sum is the efficiency criterion. ``rate_estimate`` is the tail
-    geometric mean of R_t/G and ``applicability`` names the criterion
-    branch that settled the verdict.
+    The criterion is the divergence of the sum of the terms 1/(G^t q_t).
+    ``rate_estimate`` is the tail geometric mean of R_t/G, their ratio, and
+    ``applicability`` names the criterion branch that settled the verdict.
     """
 
     is_efficient: Verdict
-    criterion_sums: np.ndarray
     rate_estimate: float
     applicability: EfficiencyBranch
 
@@ -111,6 +107,11 @@ def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
         )
 
 
+def _tail_interest(path: EquilibriumPath, window: int) -> float:
+    """Geometric mean of the interest factors R_t over the last ``window`` dates."""
+    return float(np.exp(np.mean(np.log(path.R[-window:]))))
+
+
 def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
                   window: int = 20) -> BubbleVerdict:
     """Classify a path as bubbly from the decay of its rent-price ratio.
@@ -124,14 +125,14 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     if not np.all(path.P > 0.0):
         raise DomainError("price must be positive at every date")
     T = path.T
-    # a diverging rent-price series may overflow to inf; that is its verdict, not an error
+    # at a subnormal price (the solver still accepts one) r/P can pass the
+    # float range; tail_growth then rejects the series as a DomainError,
+    # without a numpy overflow warning
     with np.errstate(over="ignore"):
         x = path.r / path.P
-        partial_sums = np.cumsum(x)
     rho = tail_growth(x, window)
     rho_r = tail_growth(path.r, window)
-    discount = float(np.exp(np.mean(np.log(path.R[-window:]))))
-    factor = rho_r / discount
+    factor = rho_r / _tail_interest(path, window)
     if factor < 1.0:
         remainder = path.q[T] * path.r[T] * factor / (1.0 - factor)
     else:
@@ -140,10 +141,9 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     return BubbleVerdict(
         is_bubble=bool(rho < 1.0 - delta),
         ratio_estimate=rho,
-        partial_sums=partial_sums,
         fundamental_value_0=value,
         bubble_component_0=float(path.P[0] - value),
-        tvc_tail=path.q * path.P,
+        tvc_last=float(path.q[T] * path.P[T]),
     )
 
 
@@ -161,11 +161,7 @@ def efficiency_test(path: EquilibriumPath, delta: float = 1e-3,
     _require_balanced_tail(path, window)
     if not np.all(path.R > 0.0):
         raise DomainError("interest factors must be positive at every date")
-    G = path.endowments.segments[-1].G
-    log_terms = np.concatenate(([0.0], np.cumsum(np.log(path.R[:-1]) - math.log(G))))
-    with np.errstate(over="ignore"):
-        sums = np.cumsum(np.exp(log_terms))
-    rate = float(np.exp(np.mean(np.log(path.R[-window:]))) / G)
+    rate = _tail_interest(path, window) / path.endowments.segments[-1].G
     share_top = float(path.s[-window:].max())
 
     if rate >= 1.0 + delta:
@@ -182,7 +178,6 @@ def efficiency_test(path: EquilibriumPath, delta: float = 1e-3,
 
     return EfficiencyVerdict(
         is_efficient=verdict,
-        criterion_sums=sums,
         rate_estimate=rate,
         applicability=branch,
     )

@@ -289,7 +289,7 @@ def _summarize_path(command: str, cfg: RunConfig, path: EquilibriumPath) -> dict
             "ratio_estimate": bubble.ratio_estimate,
             "fundamental_value_0": bubble.fundamental_value_0,
             "bubble_component_0": bubble.bubble_component_0,
-            "tvc_tail_last": float(bubble.tvc_tail[-1]),
+            "tvc_tail_last": bubble.tvc_last,
         },
         "efficiency": {
             "is_efficient": efficiency.is_efficient.value,

@@ -81,6 +81,17 @@ def test_tail_growth_validation():
 
 # ---------------------------------------------------------------- detect_bubble
 
+def rent_price_sums(path):
+    """Running sums of the rent-price ratios r_t/P_t (inf once they overflow)."""
+    with np.errstate(over="ignore"):
+        return np.cumsum(path.r / path.P)
+
+
+def tvc_series(path):
+    """Present-value prices q_t P_t, whose limit is the transversality check."""
+    return path.q * path.P
+
+
 def synthetic_path(P, r, T_max=None):
     """Wrap explicit price and rent series in a path object.
 
@@ -106,10 +117,11 @@ def test_synthetic_doubling_price_is_textbook_bubble():
     verdict = detect_bubble(path)
     assert verdict.is_bubble
     assert verdict.ratio_estimate == pytest.approx(0.5, rel=1e-12)
-    assert verdict.partial_sums[-1] == pytest.approx(2.0, abs=1e-9)
-    assert np.all(np.diff(verdict.partial_sums) > 0.0)
+    sums = rent_price_sums(path)
+    assert sums[-1] == pytest.approx(2.0, abs=1e-9)
+    assert np.all(np.diff(sums) > 0.0)
     assert verdict.bubble_component_0 > 0.0
-    assert verdict.tvc_tail[-1] > 0.2
+    assert verdict.tvc_last > 0.2
 
 
 def test_fundamental_path_has_no_bubble(fund_path):
@@ -119,9 +131,10 @@ def test_fundamental_path_has_no_bubble(fund_path):
     assert verdict.ratio_estimate == pytest.approx(RHO_FUNDAMENTAL, rel=1e-9)
     assert abs(verdict.bubble_component_0) < 1e-12 * fund_path.P[0]
     # transversality: present-value prices vanish monotonically at the tail
-    assert np.all(np.diff(verdict.tvc_tail[-40:]) < 0.0)
-    assert verdict.tvc_tail[-1] < 1e-10
-    assert not math.isfinite(verdict.partial_sums[-1]) or verdict.partial_sums[-1] > 25.0
+    assert np.all(np.diff(tvc_series(fund_path)[-40:]) < 0.0)
+    assert verdict.tvc_last < 1e-10
+    sums = rent_price_sums(fund_path)
+    assert not math.isfinite(sums[-1]) or sums[-1] > 25.0
 
 
 def test_bubbly_path_detected_with_geometric_ratio(bub_path):
@@ -132,7 +145,7 @@ def test_bubbly_path_detected_with_geometric_ratio(bub_path):
     assert abs(verdict.ratio_estimate - 1.1 ** -0.5) < 1e-3
     assert verdict.bubble_component_0 == pytest.approx(B0_BUBBLY, rel=1e-8)
     assert verdict.fundamental_value_0 > 0.0
-    assert verdict.tvc_tail[-1] > 0.05
+    assert verdict.tvc_last > 0.05
 
 
 def test_value_decomposition_is_consistent(fund_path, bub_path):
@@ -218,6 +231,25 @@ def test_detect_bubble_rejects_nonpositive_price():
         detect_bubble(broken)
 
 
+def test_rent_price_overflow_is_a_domain_error_without_a_warning():
+    # a subnormal price puts r/P past the float range, outside the tail window
+    P = 2.0 ** np.arange(41)
+    P[5] = 1e-320
+    with pytest.raises(DomainError):
+        detect_bubble(synthetic_path(P, np.ones(41)))
+
+
+def test_verdicts_carry_only_what_is_reported(bub_path):
+    bubble = detect_bubble(bub_path)
+    assert [f.name for f in dataclasses.fields(bubble)] == [
+        "is_bubble", "ratio_estimate", "fundamental_value_0", "bubble_component_0", "tvc_last"]
+    assert type(bubble.tvc_last) is float
+    assert bubble.tvc_last == float(bub_path.q[-1] * bub_path.P[-1])
+    efficiency = efficiency_test(bub_path)
+    assert [f.name for f in dataclasses.fields(efficiency)] == [
+        "is_efficient", "rate_estimate", "applicability"]
+
+
 # ---------------------------------------------------------------- efficiency
 
 EFFICIENCY_CASES = [
@@ -270,10 +302,18 @@ def test_efficiency_matches_static_welfare_classification():
         assert dynamic.value == static.value, (params, terminal)
 
 
+def criterion_sums(path):
+    """Running sums of the efficiency criterion terms 1/(G^t q_t) (inf once they overflow)."""
+    G = path.endowments.segments[-1].G
+    log_terms = np.concatenate(([0.0], np.cumsum(np.log(path.R[:-1]) - math.log(G))))
+    with np.errstate(over="ignore"):
+        return np.cumsum(np.exp(log_terms))
+
+
 def test_criterion_sums_shape(fund_path):
     poss = solve_path(POSS, None, TerminalKind.FUNDAMENTAL, 200)
-    conv = efficiency_test(poss).criterion_sums
-    div = efficiency_test(fund_path).criterion_sums
+    conv = criterion_sums(poss)
+    div = criterion_sums(fund_path)
     assert np.all(np.diff(conv) > 0.0)
     assert np.all(np.diff(div) > 0.0)
     # ratio test on the criterion terms: geometric decay when the rate sits
@@ -288,7 +328,7 @@ def test_gamma_above_one_criterion_overflows_to_inf():
     path = solve_path(make_params(gamma=1.5), None, TerminalKind.GAMMA_ABOVE_1, 200)
     result = efficiency_test(path)
     assert result.is_efficient is Verdict.EFFICIENT
-    assert math.isinf(result.criterion_sums[-1])
+    assert math.isinf(criterion_sums(path)[-1])
 
 
 def test_efficiency_on_stitched_scenario_path():

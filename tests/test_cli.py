@@ -888,7 +888,10 @@ def test_an_economy_with_no_representable_long_run_keeps_the_error_contract(tmp_
 
 
 def test_diverging_rent_price_sum_prints_no_warning_in_a_subprocess(tmp_path):
-    # the rent-price partial sums of this credit economy overflow to inf
+    # this credit economy's rent-price sum diverges: its price is subnormal on
+    # 14 dates, where r/P reaches 1.1e307, a factor 16 short of the float
+    # range; a fresh process must still print its output and write nothing,
+    # no numpy warning either, to stderr
     doc = {"beta": 0.9178042059047289, "sigma": 55.39695815339415,
            "gamma": 0.4146689573331519, "m": 0.0014419194981275271, "G": 2.497049289903144,
            "e1": 0.00288347895295137, "e2": 425.389622120354, "T": 167,
