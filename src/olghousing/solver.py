@@ -183,14 +183,16 @@ class EquilibriumPath:
 
     Stored as solved, under the belief active at each date (``belief_index``,
     all zeros for a plain solve): endowments ``e_y``/``e_o``, the share ``s``
-    of young income spent on housing, the price ``P``, the rent ``r`` and the
-    relative equation error ``residuals``; ``S_after`` is the expenditure at
-    T+1 under the belief active at T. The rest follows from the identities,
-    once, on first use: expenditure ``S = s*e_y``, consumption ``c_y = e_y - S``
-    and ``c_o = e_o + S``, the gross interest rate ``R_t = S_{t+1}/P_t`` (no
-    arbitrage; across a revision it uses the post-revision expenditure), the
-    date-0 present-value price ``q`` chained through R, and ``balanced_from``,
-    the first date of the realized endowments' final balanced-growth segment.
+    of young income spent on housing, the price ``P``, the rent ``r``, young
+    consumption ``c_y = e_y - S`` (for gamma > 1 from the young's own share,
+    as the difference cancels) and the relative equation error
+    ``residuals``; ``S_after`` is the expenditure at T+1 under the belief
+    active at T. The rest follows from the identities, once, on first use:
+    expenditure ``S = s*e_y``, old consumption ``c_o = e_o + S``, the gross
+    interest rate ``R_t = S_{t+1}/P_t`` (no arbitrage; across a revision it
+    uses the post-revision expenditure), the date-0 present-value price
+    ``q`` chained through R, and ``balanced_from``, the first date of the
+    realized endowments' final balanced-growth segment.
     """
 
     e_y: np.ndarray
@@ -198,6 +200,7 @@ class EquilibriumPath:
     s: np.ndarray
     P: np.ndarray
     r: np.ndarray
+    c_y: np.ndarray
     belief_index: np.ndarray
     residuals: np.ndarray
     terminal_kind: TerminalKind
@@ -216,10 +219,6 @@ class EquilibriumPath:
     @cached_property
     def S(self) -> np.ndarray:
         return self.s * self.e_y
-
-    @cached_property
-    def c_y(self) -> np.ndarray:
-        return self.e_y - self.S
 
     @cached_property
     def c_o(self) -> np.ndarray:
@@ -401,7 +400,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
     there. A date's root and its warm start read only later dates, so every
     returned date carries the same bits as in a solve down to date 0.
 
-    Returns ``(e_y, e_o, s, P, r, residuals, S_stop)``: lists over dates
+    Returns ``(e_y, e_o, s, P, r, c_y, residuals, S_stop)``: lists over dates
     ``first..stop-1``, and the expenditure at date ``stop``.
     """
     if T < endowments.balanced_from:
@@ -425,7 +424,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
 
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
-    P, r, residuals = [0.0] * (stop - first), [0.0] * (stop - first), [0.0] * (stop - first)
+    P, r, c_y, residuals = ([0.0] * (stop - first) for _ in range(4))
     # each date starts from the next date's root, stepped on by the change
     # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
     # linear extrapolation; a zero seed leaves the first date to the cold start
@@ -453,12 +452,13 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
         if calls > worst:
             worst = calls
         if t < stop:
-            # priced at the w Newton solved for where it is 1 - u: 1.0 - u
-            # would lose its precision once u nears 1
+            # priced, and c_y formed, at the w Newton solved for where it is
+            # 1 - u: 1.0 - u would lose its precision once u nears 1
             y = w if upper else 1.0 - u
             P[t - first], r[t - first], residuals[t - first] = _price_date(
                 _terms(agg, gamma, rent_scale, share_next_scaled, z_hat, u, y),
                 S_next, e_y[t], t)
+            c_y[t - first] = e_y[t] * w if upper else e_y[t] - u * e_y[t]
     if log.isEnabledFor(logging.DEBUG):
         largest = max(residuals)
         log.debug(
@@ -467,7 +467,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             evaluations, t_seed - first, worst, safeguards, largest,
             first + residuals.index(largest),
         )
-    return (e_y[first:stop], e_o[first:stop], shares[first:stop], P, r, residuals,
+    return (e_y[first:stop], e_o[first:stop], shares[first:stop], P, r, c_y, residuals,
             shares[stop] * e_y[stop])
 
 
@@ -481,15 +481,15 @@ def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentP
     expenditure at T+1.
     """
     bounds = [a for a, _ in announcements] + [T + 1]
-    # e_y, e_o, s, P, r and residuals, each belief's window after the last
-    columns: list[list[float]] = [[], [], [], [], [], []]
+    # e_y, e_o, s, P, r, c_y and residuals, each belief's window after the last
+    columns: list[list[float]] = [[], [], [], [], [], [], []]
     for k, (a_k, believed) in enumerate(announcements):
         *window, S_after = _backward(params, believed, terminals[k], T, a_k, bounds[k + 1])
         for column, part in zip(columns, window):
             column.extend(part)
-    e_y, e_o, s, P, r, residuals = (np.array(column) for column in columns)
+    e_y, e_o, s, P, r, c_y, residuals = (np.array(column) for column in columns)
     return EquilibriumPath(
-        e_y=e_y, e_o=e_o, s=s, P=P, r=r, residuals=residuals,
+        e_y=e_y, e_o=e_o, s=s, P=P, r=r, c_y=c_y, residuals=residuals,
         belief_index=np.repeat(np.arange(len(announcements)), np.diff(bounds)),
         terminal_kind=TerminalKind(terminals[-1]),
         endowments=realized,

@@ -52,11 +52,11 @@ def coordinate(u, upper):
     return mpmath.log(1 - u) if upper else mpmath.log(u)
 
 
-def mp_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, guess):
+def mp_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, x0):
     """The root's coordinate (``coordinate(root, gamma > 1)``) at 50 digits.
 
-    ``guess`` is a float share near the root; the secant iteration starts
-    from it in the coordinate.
+    The secant iteration starts at ``x0``, a coordinate near the root's (a
+    share u near 1 cannot carry log(1 - u) itself).
     """
     upper = housing.gamma > 1.0
     with mpmath.workdps(50):
@@ -71,7 +71,6 @@ def mp_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, guess):
             c, cy, cz = _ces(beta, sigma, y, z)
             return sns * cz - u * cy + rent_scale * c ** gamma
 
-        x0 = coordinate(guess, upper)
         root = mpmath.findroot(f, (x0, x0 * (1 + mpmath.mpf(2) ** -40)), tol=mpmath.mpf(10) ** -45)
         assert abs(root - x0) < 1e-6, (root, x0)
         return root

@@ -95,14 +95,14 @@ def tvc_series(path):
 def synthetic_path(P, r, T_max=None):
     """Wrap explicit price and rent series in a path object.
 
-    Half of young income buys the house, so S = P + r, and the last
+    Half of young income buys the house, so S = c_y = P + r, and the last
     interest rate repeats the one before it.
     """
     P = np.asarray(P, dtype=float)
     r = np.asarray(r, dtype=float)
     T = len(P) - 1
     return EquilibriumPath(
-        e_y=2.0 * (P + r), e_o=np.ones(T + 1), s=np.full(T + 1, 0.5), P=P, r=r,
+        e_y=2.0 * (P + r), e_o=np.ones(T + 1), s=np.full(T + 1, 0.5), P=P, r=r, c_y=P + r,
         belief_index=np.zeros(T + 1, dtype=int),
         residuals=np.zeros(T + 1),
         terminal_kind=TerminalKind.BUBBLY,

@@ -133,7 +133,7 @@ GOLDEN = {
         None,
     ),
     "solve-gamma-above-1": (0,
-        "77d75f18b9b0dc2dc13bcf5d19d4031f4e9d19b579333cd2fdecce29f08755ae",
+        "947f5993b55ead539d3c4f249b1eb4b2c1b2f16817487a904ca45988e1bd3bac",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),

@@ -15,8 +15,8 @@ from olghousing.errors import ModelError, SolverError
 from olghousing.preferences import CesAggregator, HousingUtility
 from olghousing.regimes import EconomyParams, gamma1_steady_state
 from olghousing.solver import solve_path
-from oracles import (brent_share_root, coordinate_error, mp_gamma1_share, mp_share_root,
-                     ulp_in_coordinate)
+from oracles import (brent_share_root, coordinate, coordinate_error, mp_gamma1_share,
+                     mp_share_root, ulp_in_coordinate)
 
 EPS = 2.220446049250313e-16
 
@@ -91,7 +91,7 @@ def errors_in_ulp(args, share):
     """
     brent = brent_share_root(*args[:5])
     upper = args[1].gamma > 1.0
-    root = mp_share_root(*args[:5], brent)
+    root = mp_share_root(*args[:5], coordinate(brent, upper))
     ulp = ulp_in_coordinate(share, upper)
     return coordinate_error(share, root, upper) / ulp, coordinate_error(brent, root, upper) / ulp
 

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from olghousing.solver import (
     solve_path,
     solve_scenario,
 )
-from oracles import brent_share_root
+from oracles import brent_share_root, mp_share_root
 
 # Frozen values computed by an independent high-precision fixed-point solve
 # of the one-step equilibrium equation.
@@ -365,6 +366,23 @@ def test_gamma_above_one_residuals_stay_at_rounding_as_the_share_nears_one(gamma
     params = make_params(gamma=gamma, e1=100.0, e2=100.0)
     path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, T)
     assert path.residuals.max() <= 1e-14
+
+
+def test_gamma_above_one_young_consumption_matches_50_digits():
+    # 1 - u falls to about 1.5e-15 here, where e_y - S cancels (5.4% off at
+    # worst); c_y must carry the young's own share as Newton solved it. Each
+    # date's 50-digit root is taken from the path's own S_{t+1}
+    params = make_params(gamma=1.2, e1=100.0, e2=100.0)
+    path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 2000)
+    e_y, e_o, S = path.e_y, path.e_o, path.S
+    for t in (0, 500, 1000, 1500, 1900, 1999):
+        args = (params.agg, params.housing, path.s[t + 1] * (e_y[t + 1] / e_y[t]),
+                (e_o[t + 1] + S[t + 1]) / e_y[t], e_y[t])
+        # started from a cold solve of the same equation, not from c_y itself
+        w = solver._solve_share(*args)[1]
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(e_y[t]) * mpmath.exp(mp_share_root(*args, math.log(w)))
+            assert abs(path.c_y[t] - exact) / exact <= 4e-16, (t, path.c_y[t], exact)
 
 
 def test_sink_steady_state_path_stays_near_star():
