@@ -87,11 +87,6 @@ def rent_price_sums(path):
         return np.cumsum(path.r / path.P)
 
 
-def tvc_series(path):
-    """Present-value prices q_t P_t, whose limit is the transversality check."""
-    return path.q * path.P
-
-
 def synthetic_path(P, r, T_max=None):
     """Wrap explicit price and rent series in a path object.
 
@@ -131,7 +126,7 @@ def test_fundamental_path_has_no_bubble(fund_path):
     assert verdict.ratio_estimate == pytest.approx(RHO_FUNDAMENTAL, rel=1e-9)
     assert abs(verdict.bubble_component_0) < 1e-12 * fund_path.P[0]
     # transversality: present-value prices vanish monotonically at the tail
-    assert np.all(np.diff(tvc_series(fund_path)[-40:]) < 0.0)
+    assert np.all(np.diff((fund_path.q * fund_path.P)[-40:]) < 0.0)
     assert verdict.tvc_last < 1e-10
     sums = rent_price_sums(fund_path)
     assert not math.isfinite(sums[-1]) or sums[-1] > 25.0
