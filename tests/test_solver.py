@@ -369,9 +369,9 @@ def test_gamma_above_one_residuals_stay_at_rounding_as_the_share_nears_one(gamma
 
 
 def test_gamma_above_one_young_consumption_matches_50_digits():
-    # 1 - u falls to about 1.5e-15 here, where e_y - S cancels (5.4% off at
-    # worst); c_y must carry the young's own share as Newton solved it. Each
-    # date's 50-digit root is taken from the path's own S_{t+1}
+    # 1 - u falls to about 1.5e-15 here, where e_y - S would cancel; c_y must
+    # carry the young's own share as Newton solved it. Each date's 50-digit
+    # root is taken from the path's own S_{t+1}
     params = make_params(gamma=1.2, e1=100.0, e2=100.0)
     path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 2000)
     e_y, e_o, S = path.e_y, path.e_o, path.S
