@@ -12,10 +12,9 @@ or mixed-regime tails report Unknown rather than guessing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import ApplicabilityError, DomainError
 from .solver import EquilibriumPath, TerminalKind
@@ -80,20 +79,70 @@ class EfficiencyVerdict:
     applicability: EfficiencyBranch
 
 
+def _pairwise_sum(x: list[float], lo: int, n: int) -> float:
+    """Sum of ``x[lo:lo + n]`` in numpy's pairwise order (``pairwise_sum_DOUBLE``)."""
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += x[i]
+        return total
+    if n <= 128:
+        # eight running sums over the multiples of 8, then the leftover entries
+        sums = x[lo:lo + 8]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                sums[j] += x[i + j]
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+            (sums[4] + sums[5]) + (sums[6] + sums[7]))
+        for i in range(stop, lo + n):
+            total += x[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
+
+
+def _sum(x: list[float]) -> float:
+    """Sum of ``x``, rounded as ``numpy.sum`` rounds it, so ``_sum(x)/len(x)`` is its mean."""
+    # numpy's reduction starts from the identity 0.0, which turns a -0.0 sum into 0.0
+    return 0.0 + _pairwise_sum(x, 0, len(x))
+
+
+def _exp_mean(logs: list[float]) -> float:
+    """``exp`` of the mean of ``logs``: the geometric mean growth factor they measure.
+
+    A factor beyond the float range is a domain error, not an overflow.
+    """
+    mean = _sum(logs) / len(logs)
+    try:
+        return math.exp(mean)
+    except OverflowError:
+        raise DomainError(
+            f"tail growth factor exp({mean!r}) exceeds the float range"
+        ) from None
+
+
 def tail_growth(series, window: int = 20) -> float:
-    """Geometric mean growth factor over the last ``window`` increments."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
+    """Geometric mean growth factor over the last ``window`` increments.
+
+    ``series`` is any one-dimensional sequence of numbers, a list or an array.
+    """
+    try:
+        x = list(map(float, series))
+    except (TypeError, ValueError):
+        raise DomainError("series must be a sequence of numbers") from None
+    if getattr(series, "ndim", 1) != 1 or len(x) < 2:
         raise DomainError("series must be one-dimensional with at least 2 entries")
     if not (1 <= window <= len(x) // 2):
         raise DomainError(
             f"window must be between 1 and half the series length, got {window} "
             f"for {len(x)} entries"
         )
-    if not np.all(np.isfinite(x)) or not np.all(x > 0.0):
+    if not (all(map(math.isfinite, x)) and min(x) > 0.0):
         raise DomainError("series entries must be positive and finite")
-    logs = np.log(x[-window - 1:])
-    return float(np.exp(np.mean(np.diff(logs))))
+    logs = [math.log(v) for v in x[-window - 1:]]
+    return _exp_mean(list(map(operator.sub, logs[1:], logs[:-1])))
 
 
 def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
@@ -109,7 +158,7 @@ def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
 
 def _tail_interest(path: EquilibriumPath, window: int) -> float:
     """Geometric mean of the interest factors R_t over the last ``window`` dates."""
-    return float(np.exp(np.mean(np.log(path.R[-window:]))))
+    return _exp_mean([math.log(R) for R in path.R[-window:]])
 
 
 def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
@@ -122,28 +171,31 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     a geometric remainder at the fitted tail rates.
     """
     _require_balanced_tail(path, window)
-    if not np.all(path.P > 0.0):
+    if not min(path.P) > 0.0:
         raise DomainError("price must be positive at every date")
     T = path.T
     # at a subnormal price (the solver still accepts one) r/P can pass the
-    # float range; tail_growth then rejects the series as a DomainError,
-    # without a numpy overflow warning
-    with np.errstate(over="ignore"):
-        x = path.r / path.P
-    rho = tail_growth(x, window)
+    # float range; the division then gives inf, which tail_growth rejects
+    rho = tail_growth(list(map(operator.truediv, path.r, path.P)), window)
     rho_r = tail_growth(path.r, window)
     factor = rho_r / _tail_interest(path, window)
     if factor < 1.0:
         remainder = path.q[T] * path.r[T] * factor / (1.0 - factor)
     else:
         remainder = math.inf
-    value = float(np.dot(path.q[1:], path.r[1:]) + remainder)
+    try:
+        # exactly rounded, whatever the platform; past the float range fsum
+        # raises where a float sum reads inf
+        present_value = math.fsum(map(operator.mul, path.q[1:], path.r[1:]))
+    except OverflowError:
+        present_value = math.inf
+    value = present_value + remainder
     return BubbleVerdict(
-        is_bubble=bool(rho < 1.0 - delta),
+        is_bubble=rho < 1.0 - delta,
         ratio_estimate=rho,
         fundamental_value_0=value,
-        bubble_component_0=float(path.P[0] - value),
-        tvc_last=float(path.q[T] * path.P[T]),
+        bubble_component_0=path.P[0] - value,
+        tvc_last=path.q[T] * path.P[T],
     )
 
 
@@ -159,10 +211,10 @@ def efficiency_test(path: EquilibriumPath, delta: float = 1e-3,
     and indeterminate otherwise.
     """
     _require_balanced_tail(path, window)
-    if not np.all(path.R > 0.0):
+    if not min(path.R) > 0.0:
         raise DomainError("interest factors must be positive at every date")
     rate = _tail_interest(path, window) / path.endowments.segments[-1].G
-    share_top = float(path.s[-window:].max())
+    share_top = max(path.s[-window:])
 
     if rate >= 1.0 + delta:
         verdict, branch = Verdict.EFFICIENT, EfficiencyBranch.RATE_ABOVE_GROWTH

@@ -249,7 +249,7 @@ def _infer_terminal(params: EconomyParams, explicit: str | None,
 
 def _path_rows(path: EquilibriumPath) -> list[tuple]:
     """Per-date records in ``PATH_HEADER`` order, as raw ints and floats."""
-    columns = (getattr(path, name).tolist() for name in PATH_HEADER[1:])
+    columns = (getattr(path, name) for name in PATH_HEADER[1:])
     return list(zip(range(path.T + 1), *columns))
 
 
@@ -277,12 +277,12 @@ def _summarize_path(command: str, cfg: RunConfig, path: EquilibriumPath) -> dict
         "T": path.T,
         "terminal": path.terminal_kind.value,
         "revision_dates": list(path.revision_dates),
-        "max_residual": float(path.residuals.max()),
+        "max_residual": max(path.residuals),
         "tail": {
             "price_growth": tail_growth(path.P, cfg.tail_window),
             "rent_growth": tail_growth(path.r, cfg.tail_window),
-            "price_rent_ratio": float(path.P[-1] / path.r[-1]),
-            "interest_rate": float(path.R[-1]),
+            "price_rent_ratio": path.P[-1] / path.r[-1],
+            "interest_rate": path.R[-1],
         },
         "bubble": {
             "is_bubble": bubble.is_bubble,

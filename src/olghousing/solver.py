@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, HorizonError, SolverError
 from .preferences import CesAggregator, HousingUtility
@@ -34,6 +34,7 @@ from .roots import newton
 __all__ = [
     "Segment",
     "EndowmentPath",
+    "Column",
     "TerminalKind",
     "EquilibriumPath",
     "BeliefSchedule",
@@ -177,9 +178,23 @@ class BeliefSchedule:
                 raise DomainError("announcement dates must be strictly increasing")
 
 
+class Column(list):
+    """One path column: a list of floats (of ints for ``belief_index``), one per date.
+
+    A list, so a caller reads or sets an entry by date; ``max()`` returns
+    the largest entry, for callers that ask the column for it (the
+    benchmark's checks read ``path.residuals.max()``).
+    """
+
+    __slots__ = ()
+
+    def max(self):
+        return max(self)
+
+
 @dataclass(frozen=True)
 class EquilibriumPath:
-    """A solved equilibrium on dates 0..T (all arrays have length T+1).
+    """A solved equilibrium on dates 0..T (every column has length T+1).
 
     Stored as solved, under the belief active at each date (``belief_index``,
     all zeros for a plain solve): endowments ``e_y``/``e_o``, the share ``s``
@@ -195,14 +210,14 @@ class EquilibriumPath:
     realized endowments' final balanced-growth segment.
     """
 
-    e_y: np.ndarray
-    e_o: np.ndarray
-    s: np.ndarray
-    P: np.ndarray
-    r: np.ndarray
-    c_y: np.ndarray
-    belief_index: np.ndarray
-    residuals: np.ndarray
+    e_y: Column
+    e_o: Column
+    s: Column
+    P: Column
+    r: Column
+    c_y: Column
+    belief_index: Column
+    residuals: Column
     terminal_kind: TerminalKind
     endowments: EndowmentPath
     S_after: float
@@ -217,22 +232,22 @@ class EquilibriumPath:
         return self.endowments.balanced_from
 
     @cached_property
-    def S(self) -> np.ndarray:
-        return self.s * self.e_y
+    def S(self) -> Column:
+        return Column(map(operator.mul, self.s, self.e_y))
 
     @cached_property
-    def c_o(self) -> np.ndarray:
-        return self.e_o + self.S
+    def c_o(self) -> Column:
+        return Column(map(operator.add, self.e_o, self.S))
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return np.append(self.S[1:], self.S_after) / self.P
+    def R(self) -> Column:
+        return Column(map(operator.truediv, [*self.S[1:], self.S_after], self.P))
 
     @cached_property
-    def q(self) -> np.ndarray:
+    def q(self) -> Column:
         # q_0 = 1 and q_{t+1} = q_t / R_t, divided in date order: 1/cumprod(R)
         # rounds differently
-        return np.divide.accumulate(np.append(1.0, self.R[:-1]))
+        return Column(accumulate(self.R[:-1], operator.truediv, initial=1.0))
 
 
 def _terms(agg: CesAggregator, gamma: float, rent_scale: float,
@@ -419,7 +434,6 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
 
     agg, housing = params.agg, params.housing
     gamma = housing.gamma
-    # the recursion runs on plain floats; arrays are built by the callers
     e_y, e_o = endowments.levels(t_seed + 1)
 
     shares = [0.0] * (t_seed + 1)
@@ -482,15 +496,16 @@ def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentP
     """
     bounds = [a for a, _ in announcements] + [T + 1]
     # e_y, e_o, s, P, r, c_y and residuals, each belief's window after the last
-    columns: list[list[float]] = [[], [], [], [], [], [], []]
+    columns = [Column() for _ in range(7)]
     for k, (a_k, believed) in enumerate(announcements):
         *window, S_after = _backward(params, believed, terminals[k], T, a_k, bounds[k + 1])
         for column, part in zip(columns, window):
             column.extend(part)
-    e_y, e_o, s, P, r, c_y, residuals = (np.array(column) for column in columns)
+    e_y, e_o, s, P, r, c_y, residuals = columns
     return EquilibriumPath(
         e_y=e_y, e_o=e_o, s=s, P=P, r=r, c_y=c_y, residuals=residuals,
-        belief_index=np.repeat(np.arange(len(announcements)), np.diff(bounds)),
+        belief_index=Column(k for k in range(len(announcements))
+                            for _ in range(bounds[k], bounds[k + 1])),
         terminal_kind=TerminalKind(terminals[-1]),
         endowments=realized,
         S_after=S_after,

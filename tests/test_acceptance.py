@@ -74,7 +74,7 @@ def test_criterion_02_fundamental_path():
     g_P = tail_growth(path.P)
     g_r = tail_growth(path.r)
     verdict = detect_bubble(path)
-    ratio = (path.P / path.r)[-20:]
+    ratio = (np.asarray(path.P) / np.asarray(path.r))[-20:]
     variation = (ratio.max() - ratio.min()) / ratio.min()
     ok = (abs(g_P - GROWTH_SQRT) <= 1e-3 and abs(g_r - GROWTH_SQRT) <= 1e-3
           and not verdict.is_bubble and variation < 1e-3)
@@ -113,8 +113,8 @@ def test_criterion_03_bubbly_path_strict_tail():
     # T=200 the true equilibrium still sits ~2e-5 away from the limit. Kept
     # as stated; expected to fail for every exact finite-horizon solution.
     path = solve_path(BUB, None, TerminalKind.BUBBLY, 200)
-    s_dev = float(np.abs(path.s[-20:] - 1.0 / 21.0).max())
-    R_dev = float(np.abs(path.R[-21:-1] / 1.1 - 1.0).max())
+    s_dev = float(np.abs(np.asarray(path.s[-20:]) - 1.0 / 21.0).max())
+    R_dev = float(np.abs(np.asarray(path.R[-21:-1]) / 1.1 - 1.0).max())
     ok = s_dev <= 1e-8 and R_dev <= 1e-6
     _report(3, "bubbly tail at limit values (strict)", ok,
             f"max|s-1/21|={s_dev:.1e} vs 1e-8, max|R/1.1-1|={R_dev:.1e} vs 1e-6")
@@ -223,8 +223,8 @@ def test_criterion_05_structure_suite():
         worst["residual"] = max(worst["residual"], res)
         if res > 1e-10:
             failures.append((name, "residual", res))
-        total = path.e_y + path.e_o
-        ulp = float((np.abs((path.c_y + path.c_o) - total)
+        total = np.asarray(path.e_y) + np.asarray(path.e_o)
+        ulp = float((np.abs((np.asarray(path.c_y) + np.asarray(path.c_o)) - total)
                      / np.spacing(total)).max())
         worst["clearing_ulp"] = max(worst["clearing_ulp"], ulp)
         if ulp > 2.0:
@@ -238,7 +238,8 @@ def test_criterion_05_structure_suite():
             worst["no_arb"] = max(worst["no_arb"], rel)
             if rel > 1e-10:
                 failures.append((name, "no-arbitrage", rel, t))
-        if not (np.all(path.S > 0.0) and np.all(path.S < path.e_y)):
+        S = np.asarray(path.S)
+        if not (np.all(S > 0.0) and np.all(S < np.asarray(path.e_y))):
             failures.append((name, "state bounds"))
     ok = not failures
     _report(5, "residual/structure suite on every solved path", ok,
@@ -368,7 +369,7 @@ def test_criterion_08_credit_crowd_out():
     t_idx = np.arange(201)[tail]
     P = paths[0.2].P[tail]
     price_dev = float(np.max(np.abs(P - 10.0 * G ** t_idx) / P))
-    cons_dev = float(np.max(np.abs(paths[0.2].c_y[tail] - paths[0.15].c_y[tail])
+    cons_dev = float(np.max(np.abs(np.asarray(paths[0.2].c_y[tail]) - paths[0.15].c_y[tail])
                             / paths[0.2].c_y[tail]))
     ok = price_dev <= 1e-3 and cons_dev <= 1e-4
     _report(8, "credit: price level and one-for-one crowd-out", ok,
@@ -385,8 +386,8 @@ def test_criterion_09_log_housing_branch():
     rep = gamma1_steady_state(params)
     s_dev = abs(rep.s_star - 1.0 / math.sqrt(11.0))
     path = solve_path(params, None, TerminalKind.GAMMA1, 150)
-    s_flat = float(np.abs(path.s / path.s[0] - 1.0).max())
-    ratio = path.P / path.r
+    s_flat = float(np.abs(np.asarray(path.s) / path.s[0] - 1.0).max())
+    ratio = np.asarray(path.P) / np.asarray(path.r)
     ratio_flat = float(np.abs(ratio / ratio[0] - 1.0).max())
     ok = s_dev <= 1e-10 and s_flat <= 1e-8 and ratio_flat <= 1e-8
     _report(9, "log housing: closed-form state and flat path", ok,
@@ -403,15 +404,15 @@ def test_criterion_10_strong_curvature_branch():
     params = make(95.0, 105.0, gamma=1.5)
     path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 200)
     tail = slice(-60, None)
-    s = path.s[tail]
-    R = path.R[tail]
-    ratio = (path.P / path.r)[tail]
+    s = np.asarray(path.s[tail])
+    R = np.asarray(path.R[tail])
+    ratio = (np.asarray(path.P) / np.asarray(path.r))[tail]
     s_up = bool(np.all(np.diff(s) > 0.0))
     gap_down = bool(np.all(np.diff(1.0 - s) < 0.0))
     R_up = bool(np.all(np.diff(R) > 0.0))
     R_high = bool(R[-1] > 10.0 * G)
     ratio_down = bool(np.all(np.diff(ratio) < 0.0))
-    ratio_small = bool(ratio[-1] < 1e-3 * (path.P / path.r)[0])
+    ratio_small = bool(ratio[-1] < 1e-3 * (np.asarray(path.P) / np.asarray(path.r))[0])
     ok = s_up and gap_down and R_up and R_high and ratio_down and ratio_small
     _report(10, "strong curvature: share to 1, rate and ratio limits", ok,
             f"s[-1]={s[-1]:.6f}, R[-1]={R[-1]:.1f}, "

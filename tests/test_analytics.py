@@ -17,6 +17,7 @@ from olghousing.preferences import CesAggregator, HousingUtility
 from olghousing.regimes import EconomyParams, fundamental_steady_state, welfare_class
 from olghousing.solver import (
     BeliefSchedule,
+    Column,
     EndowmentPath,
     EquilibriumPath,
     Segment,
@@ -79,30 +80,53 @@ def test_tail_growth_validation():
         tail_growth([1.0, math.inf, 3.0, 4.0], 2)
 
 
+def test_tail_growth_overflow_is_a_domain_error():
+    # one increment of log 1e600, a growth factor past the float range
+    with pytest.raises(DomainError):
+        tail_growth([1.0, 1.0, 1e-300, 1e300], 1)
+
+
+def test_tail_growth_takes_lists_and_arrays_alike():
+    x = 3.0 * 1.1 ** np.arange(50)
+    assert tail_growth(x, 20) == tail_growth(x.tolist(), 20) == tail_growth(tuple(x), 20)
+
+
+@pytest.mark.parametrize("series", [np.ones((8, 2)), [[1.0, 2.0]] * 8, np.ones((8, 1)),
+                                    ["a", "b", "c", "d"], [None] * 4, [1j] * 4],
+                         ids=["2-D array", "nested list", "column array", "strings",
+                              "None", "complex"])
+def test_tail_growth_rejects_series_that_are_not_1d_numbers(series):
+    with pytest.raises(DomainError):
+        tail_growth(series, 1)
+
+
 # ---------------------------------------------------------------- detect_bubble
 
 def rent_price_sums(path):
     """Running sums of the rent-price ratios r_t/P_t (inf once they overflow)."""
     with np.errstate(over="ignore"):
-        return np.cumsum(path.r / path.P)
+        return np.cumsum(np.asarray(path.r) / np.asarray(path.P))
 
 
 def synthetic_path(P, r, T_max=None):
     """Wrap explicit price and rent series in a path object.
 
     Half of young income buys the house, so S = c_y = P + r, and the last
-    interest rate repeats the one before it.
+    interest rate repeats the one before it. The columns are float lists, as
+    in a solved path (numpy scalars would warn where floats overflow to inf).
     """
     P = np.asarray(P, dtype=float)
     r = np.asarray(r, dtype=float)
     T = len(P) - 1
     return EquilibriumPath(
-        e_y=2.0 * (P + r), e_o=np.ones(T + 1), s=np.full(T + 1, 0.5), P=P, r=r, c_y=P + r,
-        belief_index=np.zeros(T + 1, dtype=int),
-        residuals=np.zeros(T + 1),
+        e_y=Column((2.0 * (P + r)).tolist()), e_o=Column([1.0] * (T + 1)),
+        s=Column([0.5] * (T + 1)), P=Column(P.tolist()), r=Column(r.tolist()),
+        c_y=Column((P + r).tolist()),
+        belief_index=Column([0] * (T + 1)),
+        residuals=Column([0.0] * (T + 1)),
         terminal_kind=TerminalKind.BUBBLY,
         endowments=EndowmentPath((Segment(0, 1.0, 1.0, 2.0),), T_max or T),
-        S_after=(P[T] + r[T]) / P[T - 1] * P[T],
+        S_after=float((P[T] + r[T]) / P[T - 1] * P[T]),
     )
 
 
@@ -126,7 +150,7 @@ def test_fundamental_path_has_no_bubble(fund_path):
     assert verdict.ratio_estimate == pytest.approx(RHO_FUNDAMENTAL, rel=1e-9)
     assert abs(verdict.bubble_component_0) < 1e-12 * fund_path.P[0]
     # transversality: present-value prices vanish monotonically at the tail
-    assert np.all(np.diff((fund_path.q * fund_path.P)[-40:]) < 0.0)
+    assert np.all(np.diff((np.asarray(fund_path.q) * np.asarray(fund_path.P))[-40:]) < 0.0)
     assert verdict.tvc_last < 1e-10
     sums = rent_price_sums(fund_path)
     assert not math.isfinite(sums[-1]) or sums[-1] > 25.0
@@ -166,9 +190,9 @@ def test_bubble_component_grows_at_interest_rate(bub_path):
         acc += path.q[t] * path.r[t]
     value = pv / path.q
     bubble = path.P - value
-    scale = 1e-6 * path.P[:-1]
+    scale = 1e-6 * np.asarray(path.P[:-1])
     live = np.abs(bubble[:-1]) > scale
-    growth = bubble[1:][live] / (path.R[:-1][live] * bubble[:-1][live])
+    growth = bubble[1:][live] / (np.asarray(path.R[:-1])[live] * bubble[:-1][live])
     assert np.abs(growth - 1.0).max() < 1e-8
 
 
@@ -193,12 +217,12 @@ def test_gamma_one_and_above_have_no_bubble():
 def test_bubbly_tail_growth_triple(bub_path):
     assert abs(tail_growth(bub_path.P) - 1.1) < 1e-3
     assert abs(tail_growth(bub_path.r) - 1.1 ** 0.5) < 1e-3
-    assert abs(tail_growth(bub_path.P / bub_path.r) - 1.1 ** 0.5) < 1e-3
+    assert abs(tail_growth(np.asarray(bub_path.P) / np.asarray(bub_path.r)) - 1.1 ** 0.5) < 1e-3
     asym = solve_path(ASYM_BUB, None, TerminalKind.BUBBLY, 150)
     G, gamma = 1.08, 0.3
     assert abs(tail_growth(asym.P) - G) < 1e-3
     assert abs(tail_growth(asym.r) - G ** gamma) < 1e-3
-    assert abs(tail_growth(asym.P / asym.r) - G ** (1.0 - gamma)) < 1e-3
+    assert abs(tail_growth(np.asarray(asym.P) / np.asarray(asym.r)) - G ** (1.0 - gamma)) < 1e-3
 
 
 def test_fundamental_tail_growth(fund_path):

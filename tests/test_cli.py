@@ -680,13 +680,16 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout == b"[]\n"
 
 
-@pytest.mark.parametrize("case", ["solve-out", "regimes-necessity"])
+@pytest.mark.parametrize("case", ["regimes-necessity", "solve-out", "scenario-json",
+                                  "credit-csv", "sweep-out"])
 def test_cli_runs_with_scipy_blocked(tmp_path, case):
+    # neither scipy nor numpy is a runtime dependency: every subcommand keeps
+    # its golden bytes when importing either one fails
     command, config, extra = CASES[case]
     out_path = tmp_path / "out.csv"
     argv = [command, "--config", write_config(tmp_path, CONFIGS[config])]
     argv += [str(out_path) if arg == OUT else arg for arg in extra]
-    result = run_python('import sys; sys.modules["scipy"] = None; '
+    result = run_python('import sys; sys.modules["scipy"] = sys.modules["numpy"] = None; '
                         "from olghousing.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
     assert result.returncode == 0 and result.stderr == b""
     out = hashlib.sha256(out_path.read_bytes()).hexdigest() if out_path.exists() else None

@@ -123,7 +123,7 @@ GOLDEN = {
         None,
     ),
     "solve-fundamental-json": (0,
-        "2dec6a3490a9cf8767d45e39999ab29f932aef073c10b7de60febf05911993fe",
+        "e8f5718a9603efab43e939a54b4c68cc91a632096aa582575f07f176220608cb",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
@@ -133,7 +133,7 @@ GOLDEN = {
         None,
     ),
     "solve-gamma-above-1": (0,
-        "947f5993b55ead539d3c4f249b1eb4b2c1b2f16817487a904ca45988e1bd3bac",
+        "1d2dadb3fd64278392c0c10c34ba31396acba85b41950d9a1129b6b97cae2f5f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
@@ -143,12 +143,12 @@ GOLDEN = {
         None,
     ),
     "scenario-json": (0,
-        "4e6734476dc14adfd32068062495a5db34e069ff6525adeced5af6cb86592a00",
+        "528d24d09ae91be6b8605dcf41d0e1471961e3c37eaff3e4cc7a13e7c14670db",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "scenario-out": (0,
-        "d4039d0329f1a7bb038aa680d342655b11141c23c4e5c92fbac85630907fc455",
+        "19b5bdcf536f29095380276be2543461a9957097197360c3697189ac8e90437a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
     ),
@@ -158,12 +158,12 @@ GOLDEN = {
         None,
     ),
     "credit-json": (0,
-        "c7e41df7de6008cc2f63299a5cded62b95a08a691bb79f833d31c89e48d7f719",
+        "a2ac3dfdc48e3550630b88367145b4d544fe9e24f5a6517ce4b38d0edbfcc51a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "credit-out": (0,
-        "f834bab1478ef89b4c3c1850fdba274d683075a47dec8bd12a987d86bc16f951",
+        "799c13527a1b2bdd948ff5a3dd10917881e48785ca83679def65f7ca960e9b47",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
     ),

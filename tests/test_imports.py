@@ -25,10 +25,9 @@ def test_the_import_table_covers_the_package():
     assert {"cli.py", "solver.py", "analytics.py", "regimes.py"} <= IMPORTS.keys()
 
 
-def test_only_the_path_record_and_its_analytics_import_numpy():
-    # the path columns are numpy arrays today; no other layer takes numpy on
-    assert {name for name, modules in IMPORTS.items() if "numpy" in modules} <= {
-        "solver.py", "analytics.py"}
+def test_no_module_imports_numpy():
+    # path columns are float lists and the analytics run on math
+    assert [name for name, modules in IMPORTS.items() if "numpy" in modules] == []
 
 
 def test_no_module_imports_csv():

@@ -202,26 +202,26 @@ def test_path_residuals_small(solved):
 
 def test_path_interior_and_positive(solved):
     params, path = solved
-    assert np.all(path.S > 0.0)
-    assert np.all(path.S < path.e_y)
-    assert np.all(path.P > 0.0)
-    assert np.all(path.r > 0.0)
-    assert np.all(path.R > 0.0)
+    assert np.all(np.asarray(path.S) > 0.0)
+    assert np.all(np.asarray(path.S) < np.asarray(path.e_y))
+    assert np.all(np.asarray(path.P) > 0.0)
+    assert np.all(np.asarray(path.r) > 0.0)
+    assert np.all(np.asarray(path.R) > 0.0)
     # present-value prices may underflow to zero once rates explode, but
     # they stay positive up to that point and never go negative
     assert path.q[0] == 1.0
-    assert np.all(path.q >= 0.0)
-    positive = np.flatnonzero(path.q > 0.0)
+    assert np.all(np.asarray(path.q) >= 0.0)
+    positive = np.flatnonzero(np.asarray(path.q) > 0.0)
     assert np.array_equal(positive, np.arange(len(positive)))
     assert path.T == len(path.S) - 1
-    assert np.all(path.belief_index == 0)
+    assert np.all(np.asarray(path.belief_index) == 0)
     assert path.revision_dates == ()
 
 
 def test_path_market_clearing(solved):
     _, path = solved
-    total = path.e_y + path.e_o
-    gap = np.abs(path.c_y + path.c_o - total)
+    total = np.asarray(path.e_y) + np.asarray(path.e_o)
+    gap = np.abs(np.asarray(path.c_y) + np.asarray(path.c_o) - total)
     assert np.all(gap <= 2.0 * np.spacing(total))
 
 
@@ -229,7 +229,8 @@ def test_path_price_rent_expenditure_identity(solved):
     # P and r are built from their own first-order conditions, so P + r
     # matches S only to root precision (amplified when the share nears 1)
     _, path = solved
-    assert np.all(np.abs(path.P + path.r - path.S) <= 1e-12 * path.S)
+    P, r, S = np.asarray(path.P), np.asarray(path.r), np.asarray(path.S)
+    assert np.all(np.abs(P + r - S) <= 1e-12 * S)
 
 
 def test_path_rate_identities(solved):
@@ -237,7 +238,8 @@ def test_path_rate_identities(solved):
     T = path.T
     # R_t P_t = S_{t+1} and R_t equals the marginal rate of substitution
     # between young and old consumption of the generation born at t
-    assert np.allclose(path.R[:T] * path.P[:T], path.S[1:], rtol=1e-12, atol=0.0)
+    assert np.allclose(np.asarray(path.R[:T]) * np.asarray(path.P[:T]), path.S[1:],
+                       rtol=1e-12, atol=0.0)
     for t in range(0, T, max(1, T // 17)):
         cy, cz = params.agg.partials(path.c_y[t], path.c_o[t + 1])
         assert path.R[t] == pytest.approx(cy / cz, rel=1e-10)
@@ -254,11 +256,12 @@ def test_path_rent_from_marginal_utility(solved):
 
 def test_path_present_value_chaining(solved):
     _, path = solved
-    q = path.q
+    q = np.asarray(path.q)
     assert q[0] == 1.0
     # below the normal floating-point range q loses significand bits
     live = q[1:] > np.finfo(float).tiny
-    assert np.allclose((q[1:] * path.R[:-1])[live], q[:-1][live], rtol=1e-12, atol=0.0)
+    assert np.allclose((q[1:] * np.asarray(path.R[:-1]))[live], q[:-1][live],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_fundamental_tail_grows_at_rent_rate():
@@ -333,17 +336,18 @@ def test_backward_stability_under_seed_perturbation(params, terminal):
 def test_gamma1_path_is_balanced():
     path = solve_path(GAMMA1, None, TerminalKind.GAMMA1, 120)
     s_star = 1.0 / math.sqrt(11.0)
-    assert np.abs(path.s - s_star).max() < 1e-12
-    ratio = path.P / path.r
+    assert np.abs(np.asarray(path.s) - s_star).max() < 1e-12
+    ratio = np.asarray(path.P) / np.asarray(path.r)
     assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-10
-    assert np.abs(path.R - GAMMA1_RATE_SYMMETRIC).max() < 1e-12 * GAMMA1_RATE_SYMMETRIC
+    assert (np.abs(np.asarray(path.R) - GAMMA1_RATE_SYMMETRIC).max()
+            < 1e-12 * GAMMA1_RATE_SYMMETRIC)
 
 
 def test_gamma1_path_asymmetric_rate():
     params = make_params(beta=0.35, sigma=1.0, gamma=1.0, m=0.2, G=1.05,
                          e1=100.0, e2=80.0)
     path = solve_path(params, None, TerminalKind.GAMMA1, 80)
-    assert np.abs(path.s - path.s[0]).max() < 1e-12
+    assert np.abs(np.asarray(path.s) - path.s[0]).max() < 1e-12
     assert path.R[0] == pytest.approx(GAMMA1_RATE_ASYMMETRIC, rel=1e-10)
 
 
@@ -354,7 +358,7 @@ def test_gamma_above_one_limits():
     tail = path.R[-20:]
     assert np.all(np.diff(tail) > 0.0)
     assert tail[-1] > 10.0 * 1.1
-    ratio = path.P / path.r
+    ratio = np.asarray(path.P) / np.asarray(path.r)
     assert np.all(np.diff(ratio[-50:]) < 0.0)
     assert ratio[-1] < 1e-3
 
@@ -393,9 +397,9 @@ def test_sink_steady_state_path_stays_near_star():
     rep = bubbly_steady_state(params)
     assert -1.0 < rep.lambda1 < 0.0
     path = solve_path(params, None, TerminalKind.BUBBLY, 60)
-    assert np.abs(path.s - rep.s_star).max() < 5e-3
+    assert np.abs(np.asarray(path.s) - rep.s_star).max() < 5e-3
     assert path.residuals.max() <= 1e-10
-    assert np.all(path.P > 0.0)
+    assert np.all(np.asarray(path.P) > 0.0)
 
 
 def test_credit_path_asymptotics():
@@ -635,7 +639,7 @@ def test_scenario_single_belief_equals_solve_path():
         direct = solve_path(params, belief, terminal, T)
         for name in ("e_y", "e_o", "s", "P", "r", "residuals", "belief_index",
                      "S", "R", "q", "c_y", "c_o"):
-            got, want = getattr(sc, name), getattr(direct, name)
+            got, want = np.asarray(getattr(sc, name)), np.asarray(getattr(direct, name))
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (terminal, name)
         assert sc.S_after == direct.S_after and sc.revision_dates == direct.revision_dates == ()
         assert sc.terminal_kind is direct.terminal_kind is terminal
@@ -671,8 +675,8 @@ def test_scenario_solves_each_belief_only_from_its_announcement(monkeypatch):
         window = slice(a, bounds[k + 1])
         assert list(sc.belief_index[window]) == [k] * (bounds[k + 1] - a)
         for name in ("e_y", "e_o", "s", "P", "r", "residuals", "S", "c_y", "c_o"):
-            assert (getattr(sc, name)[window].tobytes()
-                    == getattr(alone, name)[window].tobytes()), (k, name)
+            assert (np.asarray(getattr(sc, name)[window]).tobytes()
+                    == np.asarray(getattr(alone, name)[window]).tobytes()), (k, name)
     assert sc.S_after == alone.S_after
 
 
@@ -686,7 +690,7 @@ def test_scenario_unanticipated_revisions():
     assert list(np.unique(sc.belief_index[40:80])) == [1]
     assert list(np.unique(sc.belief_index[80:])) == [2]
     assert sc.residuals.max() <= 1e-10
-    assert np.all(sc.P > 0.0)
+    assert np.all(np.asarray(sc.P) > 0.0)
 
     # price jumps up when the optimistic belief arrives, down at reversal
     assert sc.P[40] / sc.P[39] > 2.0
@@ -696,7 +700,8 @@ def test_scenario_unanticipated_revisions():
     solo_base = solve_path(FUND, BASE_BELIEF, TerminalKind.FUNDAMENTAL, T)
     solo_mid = solve_path(FUND, MID_BELIEF, TerminalKind.BUBBLY, T)
     assert sc.R[39] == pytest.approx(solo_mid.S[40] / solo_base.P[39], rel=1e-14)
-    assert np.allclose(sc.q[1:] * sc.R[:-1], sc.q[:-1], rtol=1e-12, atol=0.0)
+    assert np.allclose(np.asarray(sc.q[1:]) * np.asarray(sc.R[:-1]), sc.q[:-1],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_scenario_anticipated_revisions_move_price_at_announcement():
@@ -711,7 +716,7 @@ def test_scenario_anticipated_revisions_move_price_at_announcement():
 def test_scenario_rent_steps_stay_bounded():
     schedule = BeliefSchedule(((0, BASE_BELIEF), (40, MID_BELIEF), (80, FULL_BELIEF)))
     sc = solve_scenario(FUND, schedule, FULL_BELIEF, SCENARIO_TERMINALS, 120)
-    assert (sc.r[1:] / sc.r[:-1]).max() < 1.11
+    assert (np.asarray(sc.r[1:]) / np.asarray(sc.r[:-1])).max() < 1.11
 
 
 def test_scenario_validation_errors():
