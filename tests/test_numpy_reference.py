@@ -14,7 +14,7 @@ from olghousing.analytics import _sum, _tail_interest, detect_bubble, tail_growt
 from olghousing.cli import RunConfig, cmd_credit, cmd_scenario, cmd_solve
 from test_cli_golden import BASE, CONFIGS
 
-COMMANDS = {"scenario": cmd_scenario, "credit": cmd_credit}
+COMMANDS = {"scenario": cmd_scenario, "four-beliefs": cmd_scenario, "credit": cmd_credit}
 FOUR_BELIEFS = dict(BASE, e1=95.0, e2=105.0, T=160, announcements=[
     {"announce_date": 0, "effective_date": 0, "e1": 95.0, "e2": 105.0},
     {"announce_date": 30, "effective_date": 40, "e1": 105.0, "e2": 95.0},
@@ -29,7 +29,7 @@ PATH_CONFIGS["four-beliefs"] = FOUR_BELIEFS
 def path(request):
     """The path each golden config's subcommand solves, and a 4-belief scenario."""
     name = request.param
-    command = COMMANDS.get(name, cmd_scenario if name == "four-beliefs" else cmd_solve)
+    command = COMMANDS.get(name, cmd_solve)
     solved, _ = command(RunConfig.from_dict(PATH_CONFIGS[name]))
     return solved
 
