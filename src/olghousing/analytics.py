@@ -79,42 +79,12 @@ class EfficiencyVerdict:
     applicability: EfficiencyBranch
 
 
-def _pairwise_sum(x: list[float], lo: int, n: int) -> float:
-    """Sum of ``x[lo:lo + n]`` in numpy's pairwise order (``pairwise_sum_DOUBLE``)."""
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += x[i]
-        return total
-    if n <= 128:
-        # eight running sums over the multiples of 8, then the leftover entries
-        sums = x[lo:lo + 8]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                sums[j] += x[i + j]
-        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-            (sums[4] + sums[5]) + (sums[6] + sums[7]))
-        for i in range(stop, lo + n):
-            total += x[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
-
-
-def _sum(x: list[float]) -> float:
-    """Sum of ``x``, rounded as ``numpy.sum`` rounds it, so ``_sum(x)/len(x)`` is its mean."""
-    # numpy's reduction starts from the identity 0.0, which turns a -0.0 sum into 0.0
-    return 0.0 + _pairwise_sum(x, 0, len(x))
-
-
-def _exp_mean(logs: list[float]) -> float:
-    """``exp`` of the mean of ``logs``: the geometric mean growth factor they measure.
+def _growth(change: float, n: int) -> float:
+    """``exp(change/n)``: the geometric mean growth factor of a log change over ``n`` periods.
 
     A factor beyond the float range is a domain error, not an overflow.
     """
-    mean = _sum(logs) / len(logs)
+    mean = change / n
     try:
         return math.exp(mean)
     except OverflowError:
@@ -126,7 +96,9 @@ def _exp_mean(logs: list[float]) -> float:
 def tail_growth(series, window: int = 20) -> float:
     """Geometric mean growth factor over the last ``window`` increments.
 
-    ``series`` is any one-dimensional sequence of numbers, a list or an array.
+    The log increments telescope, so their mean is the change of log
+    between the window's two end points over ``window``. ``series`` is any
+    one-dimensional sequence of numbers, a list or an array.
     """
     try:
         x = list(map(float, series))
@@ -141,8 +113,7 @@ def tail_growth(series, window: int = 20) -> float:
         )
     if not (all(map(math.isfinite, x)) and min(x) > 0.0):
         raise DomainError("series entries must be positive and finite")
-    logs = [math.log(v) for v in x[-window - 1:]]
-    return _exp_mean(list(map(operator.sub, logs[1:], logs[:-1])))
+    return _growth(math.log(x[-1]) - math.log(x[-window - 1]), window)
 
 
 def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
@@ -157,8 +128,11 @@ def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
 
 
 def _tail_interest(path: EquilibriumPath, window: int) -> float:
-    """Geometric mean of the interest factors R_t over the last ``window`` dates."""
-    return _exp_mean([math.log(R) for R in path.R[-window:]])
+    """Geometric mean of the interest factors R_t over the last ``window`` dates.
+
+    Their logs are summed exactly rounded (``math.fsum``).
+    """
+    return _growth(math.fsum(map(math.log, path.R[-window:])), window)
 
 
 def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,

@@ -370,7 +370,6 @@ def _belief_paths(cfg: RunConfig) -> tuple[BeliefSchedule, EndowmentPath, list[T
     beliefs: list[tuple[int, EndowmentPath]] = []
     kinds: list[TerminalKind] = []
     for k, ann in enumerate(announcements):
-        segments = [s for s in segments if s.start < ann.effective_date]
         segments.append(Segment(ann.effective_date, ann.e1, ann.e2, G))
         believed = EndowmentPath(tuple(segments), cfg.T)
         beliefs.append((ann.announce_date, believed))

@@ -65,8 +65,9 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
                 return lo, 0.0, evaluations, safeguards
             above = x
         # a decreasing f gives a step toward the root; a slope that is not
-        # negative (underflow, NaN) gives an infinite one, which the guard replaces
-        dx = value / -slope if slope < 0.0 else math.copysign(math.inf, value)
+        # negative and finite (underflow, overflow, NaN) gives an infinite
+        # one, which the guard replaces: a zero step would read as converged
+        dx = value / -slope if -math.inf < slope < 0.0 else math.copysign(math.inf, value)
         step = x + dx
         # an overflowing term gives an infinite scale, against which no value is small
         if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= _XTOL:

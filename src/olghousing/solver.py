@@ -47,12 +47,13 @@ log = logging.getLogger(__name__)
 
 # a share root below this counts as unrepresentable
 _TINY_SHARE = 1e-300
-# the share root is sought in x = log u (gamma <= 1) or x = log(1 - u)
-# (gamma > 1, where the young's own consumption share 1 - u is what
-# shrinks); the search stops at these floors, just past where u falls below
-# _TINY_SHARE and where 1 - e^x rounds to 1
+# the share root is sought in x = log w, where w is u (gamma <= 1) or the
+# young's own consumption share 1 - u (gamma > 1, where it is what
+# shrinks); the search stops at this floor, just past where w falls below
+# _TINY_SHARE
 _FLOOR_LOG_U = math.log(_TINY_SHARE) - 1.0
-_FLOOR_LOG_Y = math.log(2.0 ** -55)
+# a priced date whose relative equation error exceeds this fails
+_RESIDUAL_BOUND = 1e-10
 # iteration cap of one share root: above the ~330 ln 8 steps that cross the
 # whole log u range, so only a failure to converge reaches it
 _MAX_NEWTON = 400
@@ -321,7 +322,7 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
         return resale - spent + rent, slope * u, max(resale, spent, rent)
 
     x = math.log(near)
-    lo, hi = (_FLOOR_LOG_Y if upper else _FLOOR_LOG_U) - x, -x
+    lo, hi = _FLOOR_LOG_U - x, -x
     d, dx, evaluations, safeguards = newton(f, min(max(step, lo), 0.5 * hi), lo, hi,
                                             _MAX_NEWTON)
     # the final correction moves the last evaluated point's w by the factor
@@ -329,7 +330,8 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
     w = near * math.exp(d)
     shift = w * math.expm1(dx)
     u, w = (1.0 - w - shift, w + shift) if upper else (w + shift, w + shift)
-    if u >= 1.0:
+    # 1 - u must stay representable: as w itself for gamma > 1
+    if (w < _TINY_SHARE) if upper else (u >= 1.0):
         raise SolverError("share root pinned against full young income")
     if u < _TINY_SHARE:
         raise SolverError("share root vanished below representable range")
@@ -402,7 +404,11 @@ def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[floa
             f"house price underflows against expenditure at date {t}: P={price!r}, "
             f"S_next={S_next!r}, so the interest rate S_next/P is infinite"
         )
-    return price, rent_level, abs(a - b + rent) / max(a, b, rent)
+    residual = abs(a - b + rent) / max(a, b, rent)
+    if not residual <= _RESIDUAL_BOUND:
+        raise SolverError(f"equation residual {residual:.3g} exceeds "
+                          f"{_RESIDUAL_BOUND:g} at date {t}")
+    return price, rent_level, residual
 
 
 def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind | str,
@@ -457,6 +463,8 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
                 agg, housing, share_next_scaled, z_hat, e_y[t], near, step)
         except HorizonError as exc:
             raise HorizonError(f"{exc} (date {t}); shorten the horizon") from None
+        except SolverError as exc:
+            raise SolverError(f"{exc} (date {t})") from None
         shares[t] = u
         if near is not None:
             step = math.log(w / near)
@@ -529,6 +537,8 @@ def solve_path(params: EconomyParams,
     requested terminal, and a horizon error when the horizon precedes the
     final segment or, on the returned window, some price fails to be
     positive or underflows against expenditure, or some rent underflows.
+    A solver error names the date whose share root is not representable or
+    whose residual exceeds 1e-10.
     """
     if T < 1:
         raise HorizonError(f"horizon must be at least 1, got {T}")

@@ -1,6 +1,9 @@
 """Tests for bubble detection, efficiency classification, and tail growth."""
 import dataclasses
 import math
+import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from olghousing.analytics import (
     EfficiencyBranch,
     Verdict,
+    _tail_interest,
     detect_bubble,
     efficiency_test,
     tail_growth,
@@ -65,6 +69,25 @@ def test_tail_growth_exact_geometric():
     x = 3.0 * 1.1 ** np.arange(50)
     assert tail_growth(x, 20) == pytest.approx(1.1, rel=1e-12)
     assert tail_growth(1e-4 * 0.75 ** np.arange(12), 3) == pytest.approx(0.75, rel=1e-12)
+
+
+def test_tail_means_are_within_1_5_ulp_of_the_exact_mean_of_their_logs(monkeypatch):
+    # exp is the identity here, so tail_growth and _tail_interest return the
+    # mean log itself. Each rounds twice, a difference or an exactly rounded
+    # sum and then a division by the window, so the bound is 1.5 ulp, not 1
+    rng = random.Random(24)
+    logs = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-5.0, 2.0) for _ in range(601)]
+    series = [math.exp(v) for v in logs]
+    monkeypatch.setattr(math, "exp", float)
+    for n in range(1, 301):
+        means = [
+            (tail_growth(series[:2 * n], n),
+             (Fraction(math.log(series[2 * n - 1])) - Fraction(math.log(series[n - 1]))) / n),
+            (_tail_interest(SimpleNamespace(R=series[:n]), n),
+             sum(map(Fraction, map(math.log, series[:n]))) / n),
+        ]
+        for got, exact in means:
+            assert abs(Fraction(got) - exact) <= Fraction(1.5) * Fraction(math.ulp(got)), n
 
 
 def test_tail_growth_validation():

@@ -128,7 +128,7 @@ GOLDEN = {
         None,
     ),
     "solve-gamma1": (0,
-        "1baedcf1d828db885b457a28389c47e56789cd5fa8c06e9e7708f5c7bed210a8",
+        "a346fa5c575452345a941e1fde3673b37dc0f61d1416653c4d65b4727af277d7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),

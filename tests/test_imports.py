@@ -1,8 +1,9 @@
-"""Which runtime modules each package module imports, read from its source."""
+"""Which runtime modules the package imports: per module from its source, and in a new process."""
 import ast
 from pathlib import Path
 
 import olghousing
+from test_cli import run_python
 
 PACKAGE = Path(olghousing.__file__).parent
 
@@ -33,3 +34,17 @@ def test_no_module_imports_numpy():
 def test_no_module_imports_csv():
     # each CSV row is one %-format string over its record
     assert [name for name, modules in IMPORTS.items() if "csv" in modules] == []
+
+
+def _loaded_modules(statement):
+    """Top-level names of the modules a fresh interpreter holds after ``statement``."""
+    result = run_python(f"import sys; {statement}; print(*sorted(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    return {name.split(".")[0] for name in result.stdout.decode().split()}
+
+
+def test_the_cli_loads_no_numeric_library():
+    # measured against a bare interpreter, so that what its site hooks load
+    # does not count; statistics would bring fractions and decimal along
+    loaded = _loaded_modules("import olghousing.cli") - _loaded_modules("pass")
+    assert not loaded & {"numpy", "scipy", "statistics", "fractions", "decimal"}

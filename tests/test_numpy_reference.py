@@ -1,16 +1,17 @@
 """Path columns and analytics against numpy formulas, the references they must match.
 
-The derived path columns are built with float arithmetic in date order, and
-the tail means with numpy's pairwise summation, so both agree with the numpy
-expressions bit for bit. The present value of rents is an exactly rounded
-sum, within 2 ulp of numpy's dot product.
+The derived path columns are built with float arithmetic in date order, so
+they agree with the numpy expressions bit for bit; so does the tail growth
+of the solved paths, taken from the logs at the window's two ends. The
+present value of rents is an exactly rounded sum, within 2 ulp of numpy's
+dot product.
 """
 import math
 
 import numpy as np
 import pytest
 
-from olghousing.analytics import _sum, _tail_interest, detect_bubble, tail_growth
+from olghousing.analytics import _tail_interest, detect_bubble, tail_growth
 from olghousing.cli import RunConfig, cmd_credit, cmd_scenario, cmd_solve
 from test_cli_golden import BASE, CONFIGS
 
@@ -50,13 +51,14 @@ def test_derived_columns_are_the_numpy_expressions_bit_for_bit(path):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
-def test_sum_over_length_is_numpy_mean_bit_for_bit():
-    # lengths past 128 take numpy's split into halves
-    rng = np.random.default_rng(23)
-    for n in range(1, 301):
-        for x in (rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n),
-                  np.diff(np.log(rng.uniform(0.5, 2.0, n + 1)))):
-            assert (_sum(x.tolist()) / n).hex() == float(np.mean(x)).hex(), n
+def test_tail_growth_is_the_numpy_mean_of_log_increments_bit_for_bit(path):
+    # the increments of the logs telescope: on these paths the change between
+    # the window's end logs rounds as numpy's mean of the increments does
+    window = 20
+    for series in (path.P, path.r, [r / P for r, P in zip(path.r, path.P)]):
+        logs = np.array([math.log(v) for v in series[-window - 1:]])
+        reference = math.exp(float(np.mean(np.diff(logs))))
+        assert tail_growth(series, window).hex() == reference.hex()
 
 
 def test_fundamental_value_is_within_2_ulp_of_the_numpy_dot(path):

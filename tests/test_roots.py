@@ -248,6 +248,16 @@ def test_newton_does_not_stop_where_a_term_overflows():
     assert x + dx == pytest.approx(1.0, rel=1e-15)
 
 
+def test_newton_replaces_the_zero_step_of_an_infinite_slope():
+    # value / -slope is 0 for slope = -inf; taken, that step would read as convergence
+    def f(x):
+        return 5.0 - x, -math.inf if x == 0.0 else -1.0, 5.0
+
+    x, dx, evaluations, safeguards = roots.newton(f, 0.0, -10.0, 20.0, 100)
+    assert safeguards >= 1
+    assert x + dx == 5.0
+
+
 def test_newton_nan_value_is_a_solver_error():
     with pytest.raises(SolverError, match="NaN at x=0.0"):
         roots.newton(lambda x: (math.nan, -1.0, 1.0), 0.0, -1.0, 1.0, 50)

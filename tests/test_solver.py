@@ -171,11 +171,43 @@ def test_warm_bracket_keeps_the_representable_floor(share_next_scaled, z_hat):
 
 
 def test_share_root_pinned_against_full_young_income():
-    # gamma = 1.5 with young income 1e80 puts the root at 1 - u ~ 1e-31,
-    # where 1 - u rounds to 1 (the test above covers the other end)
+    # gamma = 1.5 with young income 1e80 puts the root at w = 1 - u ~ 3.6e-32,
+    # where 1 - u rounds to 1; w itself solves. A cold solve measures log w
+    # from a start 18 e-folds away, where one ulp of that coordinate is
+    # 3.6e-15, so w lies that close to its 50-digit root
+    args = (CesAggregator(0.5, 1.0), HousingUtility(1.5, 0.1), 0.5, 1.0, 1e80)
+    u, w = solver._solve_share(*args)[:2]
+    assert u == 1.0
+    with mpmath.workdps(50):
+        exact = mpmath.exp(mp_share_root(*args, math.log(w)))
+        assert abs(w - exact) / exact <= 4e-15, (w, exact)
+    # at sigma = 0.2 and a rent scale of 1e100, w lies far below 1e-300
+    # (the test above covers the other end)
     with pytest.raises(SolverError, match="^share root pinned against full young income$"):
-        solver._solve_share(CesAggregator(0.5, 1.0), HousingUtility(1.5, 0.1),
-                            0.5, 1.0, 1e80)
+        solver._solve_share(CesAggregator(0.5, 0.2), HousingUtility(1.5, 1.0),
+                            0.5, 1.0, 1e200)
+
+
+def test_share_root_where_the_slope_overflows():
+    # near w = 1e-200, (z/y)*c_yz overflows in the slope; the infinite slope
+    # must not end Newton at its start. At beta = 0.5, sigma = 1, gamma = 2
+    # and z = 1 the equation reads 2*rs*w**1.5 + 1.5*w - 1 = 0 (rs, the rent
+    # scale, is 1e300). A cold solve measures log w from its start 460
+    # e-folds away, where one ulp of that coordinate is 5.7e-14
+    args = (CesAggregator(0.5, 1.0), HousingUtility(2.0, 1e200), 0.5, 1.0, 1e100)
+    w = solver._solve_share(*args)[1]
+    with mpmath.workdps(50):
+        rs = mpmath.mpf(1e200) * mpmath.mpf(1e100)
+        exact = mpmath.findroot(lambda y: 2 * rs * y ** 1.5 + 1.5 * y - 1,
+                                (w, w * (1 + mpmath.mpf(2) ** -40)), tol=mpmath.mpf(10) ** -45)
+        assert abs(w - exact) / exact <= 3e-14, (w, exact)
+
+
+def test_share_root_errors_on_a_path_name_their_date():
+    params = make_params(sigma=0.2, gamma=1.5, m=1.0, e1=1e200, e2=1e200)
+    with pytest.raises(SolverError,
+                       match=r"^share root pinned against full young income \(date \d+\)$"):
+        solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 20)
 
 
 # ---------------------------------------------------------------- solve_path
@@ -383,6 +415,23 @@ def test_gamma_above_one_young_consumption_matches_50_digits():
         args = (params.agg, params.housing, path.s[t + 1] * (e_y[t + 1] / e_y[t]),
                 (e_o[t + 1] + S[t + 1]) / e_y[t], e_y[t])
         # started from a cold solve of the same equation, not from c_y itself
+        w = solver._solve_share(*args)[1]
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(e_y[t]) * mpmath.exp(mp_share_root(*args, math.log(w)))
+            assert abs(path.c_y[t] - exact) / exact <= 4e-16, (t, path.c_y[t], exact)
+
+
+def test_gamma_above_one_solves_where_the_share_prints_as_one():
+    # at T = 1000, 1 - u falls to 1.4e-17: s rounds to 1.0 from date 964 on,
+    # and c_y must still carry the young's own share. Each date's 50-digit
+    # root is taken from the path's own S_{t+1}
+    params = make_params(gamma=1.5, e1=100.0, e2=100.0)
+    path = solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 1000)
+    assert path.s[964] == 1.0 and path.residuals.max() <= 1e-15
+    e_y, e_o, S = path.e_y, path.e_o, path.S
+    for t in (0, 250, 500, 750, 900, 950, 963, 964, 975, 990, 998, 999):
+        args = (params.agg, params.housing, path.s[t + 1] * (e_y[t + 1] / e_y[t]),
+                (e_o[t + 1] + S[t + 1]) / e_y[t], e_y[t])
         w = solver._solve_share(*args)[1]
         with mpmath.workdps(50):
             exact = mpmath.mpf(e_y[t]) * mpmath.exp(mp_share_root(*args, math.log(w)))
