@@ -39,10 +39,11 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
     are known, at most half the previous step. Otherwise the step bisects
     the bracket or, while no point below the root is known, moves down by
     ``ln 8`` (not past ``lo``). The iteration stops when ``|value| <=
-    4e-15*scale`` (for a finite scale) or the Newton step is at most 9e-16, and then keeps
-    that step as a final correction, which costs no evaluation; or when the
-    step actually taken is at most 9e-16 (zero once the iterate no longer
-    moves).
+    4e-15*scale`` (for a finite scale), or the Newton step is at most 9e-16
+    or too short to move x, and then keeps that step as a final correction
+    (when it stays inside the bracket), which costs no evaluation; or when
+    the step actually taken is at most 9e-16 (zero once the iterate no
+    longer moves).
 
     Returns ``(x, dx, evaluations, safeguard steps)``: the root is
     ``x + dx``, where x is the last point evaluated (or ``lo``). A caller
@@ -69,9 +70,10 @@ def newton(f: Callable[[float], tuple[float, float, float]], x: float,
         # one, which the guard replaces: a zero step would read as converged
         dx = value / -slope if -math.inf < slope < 0.0 else math.copysign(math.inf, value)
         step = x + dx
-        # an overflowing term gives an infinite scale, against which no value is small
-        if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= _XTOL:
-            return x, (dx if below < step < above else 0.0), evaluations, safeguards
+        # an overflowing term gives an infinite scale, against which no value is
+        # small; a step below half an ulp of x is kept as the correction, unrounded
+        if abs(value) <= _RESIDUAL_RTOL * scale < math.inf or abs(dx) <= _XTOL or step == x:
+            return x, (dx if below - x < dx < above - x else 0.0), evaluations, safeguards
         if not (below < step < above and abs(dx) < _MAX_STEP
                 and (below == -math.inf or abs(dx) <= 0.5 * last)):
             safeguards += 1

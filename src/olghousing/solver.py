@@ -47,10 +47,9 @@ log = logging.getLogger(__name__)
 
 # a share root below this counts as unrepresentable
 _TINY_SHARE = 1e-300
-# the share root is sought in x = log w, where w is u (gamma <= 1) or the
-# young's own consumption share 1 - u (gamma > 1, where it is what
-# shrinks); the search stops at this floor, just past where w falls below
-# _TINY_SHARE
+# the share root is sought in x = log w, where w is the smaller of u and the
+# young's own consumption share 1 - u; the search stops at this floor, just
+# past where w falls below _TINY_SHARE
 _FLOOR_LOG_U = math.log(_TINY_SHARE) - 1.0
 # a priced date whose relative equation error exceeds this fails
 _RESIDUAL_BOUND = 1e-10
@@ -200,8 +199,8 @@ class EquilibriumPath:
     Stored as solved, under the belief active at each date (``belief_index``,
     all zeros for a plain solve): endowments ``e_y``/``e_o``, the share ``s``
     of young income spent on housing, the price ``P``, the rent ``r``, young
-    consumption ``c_y = e_y - S`` (for gamma > 1 from the young's own share,
-    as the difference cancels) and the relative equation error
+    consumption ``c_y = e_y - S`` (from the young's own share 1 - u where
+    Newton solved for it, as the difference cancels) and the relative equation error
     ``residuals``; ``S_after`` is the expenditure at T+1 under the belief
     active at T. The rest follows from the identities, once, on first use:
     expenditure ``S = s*e_y``, old consumption ``c_o = e_o + S``, the gross
@@ -270,21 +269,23 @@ def _terms(agg: CesAggregator, gamma: float, rent_scale: float,
 
 def _solve_share(agg: CesAggregator, housing: HousingUtility,
                  share_next_scaled: float, z_hat: float, e_y_t: float,
-                 near: float | None = None,
-                 step: float = 0.0) -> tuple[float, float, float, int, int]:
+                 near: tuple[float, float] | None = None,
+                 step: float = 0.0) -> tuple[float, float, float, float, int, int]:
     """Root of the equilibrium equation (``_terms``) for the current expenditure share.
 
     Safeguarded Newton (``roots.newton``) in ``x = log w``, where ``w`` is
-    the share u for gamma <= 1 and the young's own consumption share 1 - u
-    for gamma > 1 (the one that shrinks there). x is measured from ``near``,
-    the w of a neighbouring date's root, so every iterate's w is as precise
-    as a float allows, and the iteration starts ``step`` away from it.
-    Without ``near`` it starts at ``u = g/(1 + g)``, with
+    whichever of the share u and the young's own consumption share
+    y = 1 - u is smaller at ``near``, a neighbouring date's root ``(u, y)``.
+    x is measured from that w, so every iterate's w is as precise as a
+    float allows, and the iteration starts ``step`` away from it. Without
+    ``near`` it starts at ``(u, y) = (g, 1)/(1 + g)``, with
     ``g = (share_next_scaled*c_z + rent)/c_y`` at ``y = 1``, which costs one
-    aggregator evaluation.
+    aggregator evaluation. A root whose w lands above one half is solved
+    once more, for the other share, from its complement.
 
-    Returns ``(u, w, rent_scale, aggregator evaluations, safeguard steps)``,
-    with the date's rent scale for pricing it.
+    Returns ``(u, y, step, rent_scale, aggregator evaluations, safeguard
+    steps)``: the root, the next date's start (the change of x, or 0 after
+    a cold start or a change of side) and the date's rent scale for pricing it.
     """
     gamma = housing.gamma
     try:
@@ -295,17 +296,18 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
         raise HorizonError(
             f"rent scale m * e_y**(gamma - 1) is not finite at young endowment {e_y_t:.6g}"
         )
-    upper = gamma > 1.0
     cold = near is None
     if cold:
         resale, _, rent, _, cy, _, _ = _terms(agg, gamma, rent_scale,
                                               share_next_scaled, z_hat, 0.0, 1.0)
         g = (resale + rent) / cy
-        near, step = max((1.0 if upper else g) / (1.0 + g), _TINY_SHARE), 0.0
+        near, step = (max(g / (1.0 + g), _TINY_SHARE), max(1.0 / (1.0 + g), _TINY_SHARE)), 0.0
+    upper = near[1] < near[0]
+    start = near[upper]
 
     def f(d: float) -> tuple[float, float, float]:
-        # decreasing in d: the residual itself when w = u, its negative when w = 1 - u
-        w = near * math.exp(d)
+        # decreasing in d: the residual itself when w = u, its negative when w = y
+        w = start * math.exp(d)
         if upper:
             u, y = 1.0 - w, w
         elif w >= 1.0:
@@ -321,21 +323,28 @@ def _solve_share(agg: CesAggregator, housing: HousingUtility,
             return spent - resale - rent, slope * y, max(resale, spent, rent)
         return resale - spent + rent, slope * u, max(resale, spent, rent)
 
-    x = math.log(near)
-    lo, hi = _FLOOR_LOG_U - x, -x
-    d, dx, evaluations, safeguards = newton(f, min(max(step, lo), 0.5 * hi), lo, hi,
-                                            _MAX_NEWTON)
-    # the final correction moves the last evaluated point's w by the factor
-    # e^dx; applied to w and u directly, it is not rounded away
-    w = near * math.exp(d)
-    shift = w * math.expm1(dx)
-    u, w = (1.0 - w - shift, w + shift) if upper else (w + shift, w + shift)
-    # 1 - u must stay representable: as w itself for gamma > 1
-    if (w < _TINY_SHARE) if upper else (u >= 1.0):
-        raise SolverError("share root pinned against full young income")
-    if u < _TINY_SHARE:
-        raise SolverError("share root vanished below representable range")
-    return u, w, rent_scale, evaluations + cold, safeguards
+    evaluations, safeguards = int(cold), 0
+    for crossed in (False, True):
+        x = math.log(start)
+        lo, hi = _FLOOR_LOG_U - x, -x
+        d, dx, calls, steps = newton(f, min(max(step, lo), 0.5 * hi), lo, hi, _MAX_NEWTON)
+        evaluations, safeguards = evaluations + calls, safeguards + steps
+        # the final correction moves the last evaluated point's w by the factor
+        # e^dx; applied to w directly, it is not rounded away
+        w = start * math.exp(d)
+        shift = w * math.expm1(dx)
+        u, y = (1.0 - w - shift, w + shift) if upper else (w + shift, 1.0 - (w + shift))
+        w = y if upper else u
+        if crossed or w <= 0.5:
+            break
+        # w crossed one half: solve once more, for the other share, from its
+        # value at this root (1 - w, exact there by Sterbenz)
+        upper, step, start = not upper, 0.0, max(u if upper else y, _TINY_SHARE)
+    if u < _TINY_SHARE or y < _TINY_SHARE:
+        raise SolverError("share root pinned against full young income" if y < u
+                          else "share root vanished below representable range")
+    step = 0.0 if cold or crossed else math.log(w / start)
+    return u, y, step, rent_scale, evaluations, safeguards
 
 
 def backward_step(housing: HousingUtility, agg: CesAggregator,
@@ -439,19 +448,14 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
     )
 
     agg, housing = params.agg, params.housing
-    gamma = housing.gamma
     e_y, e_o = endowments.levels(t_seed + 1)
 
     shares = [0.0] * (t_seed + 1)
     shares[t_seed] = float(seed_share)
     P, r, c_y, residuals = ([0.0] * (stop - first) for _ in range(4))
-    # each date starts from the next date's root, stepped on by the change
-    # of log w (w = u, or 1 - u for gamma > 1) from the date after that, a
-    # linear extrapolation; a zero seed leaves the first date to the cold start
-    upper = gamma > 1.0
-    near = None
-    if seed_share > 0.0:
-        near = 1.0 - shares[t_seed] if upper else shares[t_seed]
+    # each date starts from the next date's root ``(u, y)``, stepped on as
+    # ``_solve_share`` says; a zero seed leaves the first date to the cold start
+    near = (seed_share, 1.0 - seed_share) if seed_share > 0.0 else None
     step = 0.0
     evaluations = worst = safeguards = 0
     for t in range(t_seed - 1, first - 1, -1):
@@ -459,28 +463,24 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
         share_next_scaled = shares[t + 1] * (e_y[t + 1] / e_y[t])
         z_hat = (e_o[t + 1] + S_next) / e_y[t]
         try:
-            u, w, rent_scale, calls, steps = _solve_share(
+            u, y, step, rent_scale, calls, steps = _solve_share(
                 agg, housing, share_next_scaled, z_hat, e_y[t], near, step)
         except HorizonError as exc:
             raise HorizonError(f"{exc} (date {t}); shorten the horizon") from None
         except SolverError as exc:
             raise SolverError(f"{exc} (date {t})") from None
         shares[t] = u
-        if near is not None:
-            step = math.log(w / near)
-        near = w
+        near = (u, y)
         evaluations += calls
         safeguards += steps
-        if calls > worst:
-            worst = calls
+        worst = max(worst, calls)
         if t < stop:
-            # priced, and c_y formed, at the w Newton solved for where it is
-            # 1 - u: 1.0 - u would lose its precision once u nears 1
-            y = w if upper else 1.0 - u
+            # priced, and c_y formed, at the y Newton solved for where it is
+            # the smaller share: e_y - S would lose its precision as u nears 1
             P[t - first], r[t - first], residuals[t - first] = _price_date(
-                _terms(agg, gamma, rent_scale, share_next_scaled, z_hat, u, y),
+                _terms(agg, housing.gamma, rent_scale, share_next_scaled, z_hat, u, y),
                 S_next, e_y[t], t)
-            c_y[t - first] = e_y[t] * w if upper else e_y[t] - u * e_y[t]
+            c_y[t - first] = e_y[t] * y if y < u else e_y[t] - u * e_y[t]
     if log.isEnabledFor(logging.DEBUG):
         largest = max(residuals)
         log.debug(

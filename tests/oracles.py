@@ -47,18 +47,17 @@ def _ces(beta, sigma, y, z):
 
 
 def coordinate(u, upper):
-    """The solver's coordinate of a share, exactly: log u, or log(1 - u) if ``upper``."""
+    """A coordinate of a share, exactly: log u, or log(1 - u) if ``upper``."""
     u = mpmath.mpf(u)
     return mpmath.log(1 - u) if upper else mpmath.log(u)
 
 
-def mp_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, x0):
-    """The root's coordinate (``coordinate(root, gamma > 1)``) at 50 digits.
+def mp_share_root(agg, housing, share_next_scaled, z_hat, e_y_t, x0, upper):
+    """The root's coordinate (``coordinate(root, upper)``) at 50 digits.
 
     The secant iteration starts at ``x0``, a coordinate near the root's (a
     share u near 1 cannot carry log(1 - u) itself).
     """
-    upper = housing.gamma > 1.0
     with mpmath.workdps(50):
         beta, sigma = mpmath.mpf(agg.beta), mpmath.mpf(agg.sigma)
         gamma, z = mpmath.mpf(housing.gamma), mpmath.mpf(z_hat)
@@ -83,7 +82,7 @@ def coordinate_error(u, root, upper):
 
 
 def ulp_in_coordinate(u, upper):
-    """One ulp of the share u, measured in the solver's coordinate."""
+    """One ulp of the share u, measured in the coordinate ``upper`` names."""
     return math.ulp(u) / ((1.0 - u) if upper else u)
 
 

@@ -778,21 +778,20 @@ def test_gamma1_share_below_its_floor_exits_with_one_json_error(tmp_path, capsys
     assert "at or below 1e-12" in payload["message"]
 
 
-# the gamma <= 1 share nears 1, where y = 1 - u has lost its bits: Newton
-# stops on a tiny step with a residual of order 1
-SHARE_NEAR_ONE = {"beta": 0.44, "sigma": 4.0, "gamma": 0.13, "m": 420.0, "G": 1.64,
-                  "e1": 0.6, "e2": 28.8, "T": 50}
-
-
-def test_residual_past_its_bound_exits_with_a_solver_error_naming_the_date(tmp_path, capsys):
+def test_residual_past_its_bound_exits_with_a_solver_error_naming_the_date(
+        tmp_path, capsys, monkeypatch):
+    # no known input leaves a residual past the bound, so it is lowered below
+    # two of the necessity path's residuals (3.5e-16 at date 30, 3.4e-16 at
+    # date 33); the backward pass meets date 33 first
+    monkeypatch.setattr(solver, "_RESIDUAL_BOUND", 3e-16)
     code, out, err = run_main(capsys, ["solve", "--config",
-                                       write_config(tmp_path, SHARE_NEAR_ONE)])
+                                       write_config(tmp_path, CONFIGS["necessity"])])
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     payload = json.loads(lines[0])
     assert payload["error"] == "SolverError"
-    assert "exceeds 1e-10 at date 9" in payload["message"]
+    assert payload["message"].endswith("exceeds 3e-16 at date 33")
 
 
 # c_z underflows to 0 at the gamma = 1 steady state

@@ -83,22 +83,23 @@ def test_solved_paths_match_scipy_step_for_step(monkeypatch, gamma, terminal):
 
 # ---------------------------------------------------------------- 50-digit oracle
 
-def errors_in_ulp(args, share):
+def errors_in_ulp(args, share, upper):
     """Newton's and Brent's distance from the 50-digit root, in ulp of the share.
 
-    Both are measured in Newton's coordinate (log u, or log(1 - u) for
-    gamma > 1), from the same float inputs.
+    Both are measured in one coordinate, log(1 - u) if ``upper`` and log u
+    otherwise, from the same float inputs.
     """
     brent = brent_share_root(*args[:5])
-    upper = args[1].gamma > 1.0
-    root = mp_share_root(*args[:5], coordinate(brent, upper))
+    root = mp_share_root(*args[:5], coordinate(brent, upper), upper)
     ulp = ulp_in_coordinate(share, upper)
     return coordinate_error(share, root, upper) / ulp, coordinate_error(brent, root, upper) / ulp
 
 
 def test_random_share_roots_as_close_to_50_digits_as_brent():
     for args in random_share_states():
-        newton, brent = errors_in_ulp(args, solver._solve_share(*args)[0])
+        # in Newton's coordinate: log of the smaller of u and 1 - u
+        share = solver._solve_share(*args)[0]
+        newton, brent = errors_in_ulp(args, share, share > 0.5)
         assert newton <= max(brent, 2.0), (args, newton, brent)
 
 
@@ -124,7 +125,7 @@ def test_solved_paths_as_close_to_50_digits_as_brent(monkeypatch, params, termin
     # rounding decides; so the paths are compared by their worst date
     calls = record_share_solves(monkeypatch)
     path = solve_path(params, None, terminal, T)
-    newton, brent = zip(*(errors_in_ulp(args, share) for args, share in calls))
+    newton, brent = zip(*(errors_in_ulp(args, share, share > 0.5) for args, share in calls))
     assert max(newton) <= max(max(brent), 2.0), (max(newton), max(brent))
     if params.housing.gamma <= 1.0:
         assert path.residuals.max() <= 1e-15
