@@ -98,22 +98,25 @@ def tail_growth(series, window: int = 20) -> float:
 
     The log increments telescope, so their mean is the change of log
     between the window's two end points over ``window``. ``series`` is any
-    one-dimensional sequence of numbers, a list or an array.
+    one-dimensional sequence of numbers, a list or an array; only the
+    ``window + 1`` entries the mean spans are read, and each must be a
+    positive finite number.
     """
+    if getattr(series, "ndim", 1) != 1:
+        raise DomainError("series must be one-dimensional")
     try:
-        x = list(map(float, series))
+        n = len(series)
+        x = list(map(float, series[-window - 1:])) if 1 <= window <= n // 2 else None
     except (TypeError, ValueError):
         raise DomainError("series must be a sequence of numbers") from None
-    if getattr(series, "ndim", 1) != 1 or len(x) < 2:
-        raise DomainError("series must be one-dimensional with at least 2 entries")
-    if not (1 <= window <= len(x) // 2):
+    if x is None:
         raise DomainError(
             f"window must be between 1 and half the series length, got {window} "
-            f"for {len(x)} entries"
+            f"for {n} entries"
         )
     if not (all(map(math.isfinite, x)) and min(x) > 0.0):
         raise DomainError("series entries must be positive and finite")
-    return _growth(math.log(x[-1]) - math.log(x[-window - 1]), window)
+    return _growth(math.log(x[-1]) - math.log(x[0]), window)
 
 
 def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
@@ -148,9 +151,12 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     if not min(path.P) > 0.0:
         raise DomainError("price must be positive at every date")
     T = path.T
-    # at a subnormal price (the solver still accepts one) r/P can pass the
-    # float range; the division then gives inf, which tail_growth rejects
-    rho = tail_growth(list(map(operator.truediv, path.r, path.P)), window)
+    # r/P on the last 2*window dates only, the fewest tail_growth takes with
+    # this window; at a subnormal price (the solver still accepts one) r/P can
+    # pass the float range, and the inf it then gives fails the verdict only
+    # inside the window
+    tail = -2 * window
+    rho = tail_growth(list(map(operator.truediv, path.r[tail:], path.P[tail:])), window)
     rho_r = tail_growth(path.r, window)
     factor = rho_r / _tail_interest(path, window)
     if factor < 1.0:

@@ -16,11 +16,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 from .analytics import detect_bubble, efficiency_test, tail_growth
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, DomainError, ModelError, bounded, bounded_as, check
 from .preferences import CesAggregator, HousingUtility
 from .regimes import (
     EconomyParams,
@@ -70,34 +70,20 @@ class AnnouncementSpec:
     """One belief revision: from ``effective_date`` on, detrended endowments
     are believed to be (e1, e2), announced at ``announce_date``."""
 
-    announce_date: int
-    effective_date: int
-    e1: float
-    e2: float
+    announce_date: int = bounded(int, at_least=0)
+    effective_date: int = bounded(int, at_least=0)
+    e1: float = bounded_as(EconomyParams, "e1")
+    e2: float = bounded_as(EconomyParams, "e2")
 
 
-def _read(data: dict, key: str, kind: type, *, above: float | None = None,
-          at_least: float | None = None, below: float | None = None) -> Any:
-    """The ``kind`` (int, or a finite float) at ``data[key]``, within its bounds."""
+def _read(data: dict, key: str, spec) -> Any:
+    """``data[key]`` as ``errors.check`` returns it for the dataclass field ``spec``."""
     if key not in data:
         raise ConfigError(key, "missing required key")
-    value = data[key]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-    # an integer beyond the largest float is as far from finite as inf
-    elif (not isinstance(value, (int, float)) or isinstance(value, bool)
-          or not abs(value) <= sys.float_info.max):
-        raise ConfigError(key, f"expected a finite number, got {value!r}")
-    else:
-        value = float(value)
-    if above is not None and value <= above:
-        raise ConfigError(key, f"must be above {above}, got {value}")
-    if at_least is not None and value < at_least:
-        raise ConfigError(key, f"must be at least {at_least}, got {value}")
-    if below is not None and value >= below:
-        raise ConfigError(key, f"must be below {below}, got {value}")
-    return value
+    try:
+        return check(data[key], **spec.metadata["check"])
+    except DomainError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 _TERMINAL_NAMES = tuple(k.value for k in TerminalKind)
@@ -110,9 +96,9 @@ def _terminal_name(where: str, name: Any, alternatives: str = "") -> str | None:
 
 
 def _number(kind: type, default: Any = None, *, key: str | None = None, **bounds: float) -> Any:
-    """A numeric ``RunConfig`` field: its type, default and ``_read`` bounds,
+    """A numeric ``RunConfig`` field: its type, default and ``check`` bounds,
     read from JSON ``key`` when that is not the field name."""
-    return field(default=default, metadata={"key": key, "kind": kind, "bounds": bounds})
+    return field(default=default, metadata={"key": key, "check": {"kind": kind, **bounds}})
 
 
 @dataclass(frozen=True)
@@ -120,17 +106,17 @@ class RunConfig:
     """Validated flat configuration for one run.
 
     Each field is one JSON key; a numeric field declares its type, default
-    and bounds here and nowhere else. A key that is absent or null takes the
-    default.
+    and bounds here, or takes them from the model field it feeds. A key that
+    is absent or null takes the default.
     """
 
-    beta: float | None = _number(float, above=0.0, below=1.0)
-    sigma: float | None = _number(float, above=0.0)
-    gamma: float | None = _number(float, above=0.0)
-    m: float | None = _number(float, above=0.0)
-    G: float | None = _number(float, above=1.0)
-    e1: float | None = _number(float, above=0.0)
-    e2: float | None = _number(float, above=0.0)
+    beta: float | None = bounded_as(CesAggregator, "beta", None)
+    sigma: float | None = bounded_as(CesAggregator, "sigma", None)
+    gamma: float | None = bounded_as(HousingUtility, "gamma", None)
+    m: float | None = bounded_as(HousingUtility, "m", None)
+    G: float | None = bounded_as(EconomyParams, "G", None)
+    e1: float | None = bounded_as(EconomyParams, "e1", None)
+    e2: float | None = bounded_as(EconomyParams, "e2", None)
     T: int = _number(int, 200, at_least=1)
     tail_window: int = _number(int, 20, at_least=2)
     # the bubble and efficiency verdicts cut tail ratios at 1 - delta, kept positive
@@ -163,9 +149,8 @@ class RunConfig:
             values["terminals"] = tuple(_terminal_name(f"terminals[{i}]", entry, " or null")
                                         for i, entry in enumerate(data["terminals"]))
         for key, spec in _FIELDS.items():
-            if "kind" in spec.metadata and data.get(key) is not None:
-                values[spec.name] = _read(data, key, spec.metadata["kind"],
-                                          **spec.metadata["bounds"])
+            if "check" in spec.metadata and data.get(key) is not None:
+                values[spec.name] = _read(data, key, spec)
         return cls(**values)
 
     def require(self, *keys: str) -> None:
@@ -176,14 +161,8 @@ class RunConfig:
 
     def economy(self) -> EconomyParams:
         self.require("beta", "sigma", "gamma", "m", "G", "e1", "e2")
-        try:
-            return EconomyParams(
-                agg=CesAggregator(beta=self.beta, sigma=self.sigma),
-                housing=HousingUtility(gamma=self.gamma, m=self.m),
-                G=self.G, e1=self.e1, e2=self.e2,
-            )
-        except ModelError as exc:
-            raise ConfigError("economy", str(exc)) from exc
+        return EconomyParams(CesAggregator(self.beta, self.sigma),
+                             HousingUtility(self.gamma, self.m), self.G, self.e1, self.e2)
 
 
 # JSON key -> RunConfig field, in field order
@@ -202,16 +181,14 @@ def _parse_announcements(raw: Any) -> tuple[AnnouncementSpec, ...]:
         if extra:
             raise ConfigError(f"{where}.{extra[0]}", "unknown announcement key")
         try:
-            announce = _read(item, "announce_date", int, at_least=0)
-            effective = _read(item, "effective_date", int, at_least=0)
-            e1 = _read(item, "e1", float, above=0.0)
-            e2 = _read(item, "e2", float, above=0.0)
+            entry = AnnouncementSpec(*(_read(item, spec.name, spec)
+                                       for spec in fields(AnnouncementSpec)))
         except ConfigError as exc:
             raise ConfigError(f"{where}.{exc.field}", exc.message) from exc
-        if effective < announce:
+        if entry.effective_date < entry.announce_date:
             raise ConfigError(f"{where}.effective_date",
                               "cannot precede its announcement date")
-        entries.append(AnnouncementSpec(announce, effective, e1, e2))
+        entries.append(entry)
     if entries[0].announce_date != 0 or entries[0].effective_date != 0:
         raise ConfigError("announcements[0]",
                           "the first announcement must be dated 0 and effective at 0")
@@ -425,13 +402,16 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple[str, ...]]:
     if not cfg.w_inv_max > cfg.w_inv_min:
         raise ConfigError("w_inv_max", "must exceed w_inv_min")
     w_axis = _axis(cfg.w_inv_min, cfg.w_inv_max, cfg.resolution)
-    return [_sweep_cell(cfg, gamma_inv, w_inv)
+    # the config has checked the constants; each cell checks only what it builds
+    agg = CesAggregator(cfg.beta, cfg.sigma)
+    return [_sweep_cell(cfg, agg, gamma_inv, w_inv)
             for gamma_inv in _axis(cfg.gamma_inv_min, cfg.gamma_inv_max, cfg.resolution)
             for w_inv in w_axis]
 
 
-def _sweep_cell(cfg: RunConfig, gamma_inv: float, w_inv: float) -> tuple[str, ...]:
-    params = replace(cfg, gamma=1.0 / gamma_inv, e1=1.0, e2=1.0 / w_inv).economy()
+def _sweep_cell(cfg: RunConfig, agg: CesAggregator, gamma_inv: float,
+                w_inv: float) -> tuple[str, ...]:
+    params = EconomyParams(agg, HousingUtility(1.0 / gamma_inv, cfg.m), cfg.G, 1.0, 1.0 / w_inv)
     regime = classify(params)
     states, welfare = _long_run(params, regime)
     thr = regime.thresholds

@@ -12,16 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, bounded, check_fields
 
 __all__ = ["CesAggregator", "HousingUtility"]
 
 
 def _check_point(y: float, z: float) -> None:
-    if not (y > 0.0 and math.isfinite(y)):
-        raise DomainError(f"y must be positive and finite, got {y!r}")
-    if not (z > 0.0 and math.isfinite(z)):
-        raise DomainError(f"z must be positive and finite, got {z!r}")
+    # inline, not errors.check: this runs at every aggregator evaluation
+    try:
+        if not (y > 0.0 and math.isfinite(y)):
+            raise DomainError(f"y must be positive and finite, got {y!r}")
+        if not (z > 0.0 and math.isfinite(z)):
+            raise DomainError(f"z must be positive and finite, got {z!r}")
+    # a y or z that is not a number, an int beyond the float range, or one
+    # of more than sys.get_int_max_str_digits() digits, which has no repr
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("y and z must be finite numbers") from None
 
 
 @dataclass(frozen=True)
@@ -41,14 +47,11 @@ class CesAggregator:
     degree zero; the solver relies on both.
     """
 
-    beta: float
-    sigma: float
+    beta: float = bounded(above=0.0, below=1.0)
+    sigma: float = bounded(above=0.0)
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma!r}")
+        check_fields(self)
 
     def value(self, y: float, z: float) -> float:
         """Composite consumption c(y, z)."""
@@ -107,11 +110,8 @@ class HousingUtility:
         positive.
     """
 
-    gamma: float
-    m: float
+    gamma: float = bounded(above=0.0)
+    m: float = bounded(above=0.0)
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise DomainError(f"m must be positive and finite, got {self.m!r}")
+        check_fields(self)

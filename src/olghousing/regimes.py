@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import BranchError, DomainError, LoanError, RegimeError, SolverError
+from .errors import (BranchError, DomainError, LoanError, RegimeError, SolverError, bounded,
+                     check, check_fields)
 from .preferences import CesAggregator, HousingUtility
 from .roots import newton
 
@@ -72,17 +73,12 @@ class EconomyParams:
 
     agg: CesAggregator
     housing: HousingUtility
-    G: float
-    e1: float
-    e2: float
+    G: float = bounded(above=1.0)
+    e1: float = bounded(above=0.0)
+    e2: float = bounded(above=0.0)
 
     def __post_init__(self):
-        if not (self.G > 1.0 and math.isfinite(self.G)):
-            raise DomainError(f"G must exceed 1 and be finite, got {self.G!r}")
-        if not (self.e1 > 0.0 and math.isfinite(self.e1)):
-            raise DomainError(f"e1 must be positive and finite, got {self.e1!r}")
-        if not (self.e2 > 0.0 and math.isfinite(self.e2)):
-            raise DomainError(f"e2 must be positive and finite, got {self.e2!r}")
+        check_fields(self)
 
     @property
     def income_ratio(self) -> float:
@@ -548,8 +544,7 @@ def credit_transform(params: EconomyParams, loan_ratio: float) -> CreditTransfor
     the bubbly long run may not exist and a warning is attached.
     """
     _require_gamma_below_one(params, "credit_transform")
-    if not (loan_ratio >= 0.0 and math.isfinite(loan_ratio)):
-        raise DomainError(f"loan_ratio must be nonnegative and finite, got {loan_ratio!r}")
+    loan_ratio = check(loan_ratio, name="loan_ratio", at_least=0.0)
     w = params.income_ratio
     if loan_ratio >= w:
         raise LoanError(

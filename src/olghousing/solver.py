@@ -26,7 +26,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import DomainError, HorizonError, SolverError
+from .errors import (DomainError, HorizonError, SolverError, bounded, bounded_as, check,
+                     check_fields)
 from .preferences import CesAggregator, HousingUtility
 from .regimes import EconomyParams, SteadyStateKind, TerminalKind, steady_state
 from .roots import newton
@@ -69,20 +70,14 @@ class Segment:
     levels join continuously).
     """
 
-    start: int
-    e1: float
-    e2: float
-    G: float
+    start: int = bounded(int, at_least=0)
+    e1: float = bounded_as(EconomyParams, "e1")
+    e2: float = bounded_as(EconomyParams, "e2")
+    # only the final segment must grow (``EndowmentPath``)
+    G: float = bounded(above=0.0)
 
     def __post_init__(self):
-        if not (isinstance(self.start, int) and self.start >= 0):
-            raise DomainError(f"segment start must be a nonnegative integer, got {self.start!r}")
-        if not (self.e1 > 0.0 and math.isfinite(self.e1)):
-            raise DomainError(f"segment e1 must be positive and finite, got {self.e1!r}")
-        if not (self.e2 > 0.0 and math.isfinite(self.e2)):
-            raise DomainError(f"segment e2 must be positive and finite, got {self.e2!r}")
-        if not (self.G > 0.0 and math.isfinite(self.G)):
-            raise DomainError(f"segment G must be positive and finite, got {self.G!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -96,9 +91,10 @@ class EndowmentPath:
     """
 
     segments: tuple[Segment, ...]
-    T_max: int
+    T_max: int = bounded(int, at_least=0)
 
     def __post_init__(self):
+        check_fields(self)
         if not self.segments:
             raise DomainError("endowment path needs at least one segment")
         segs = tuple(self.segments)
@@ -108,8 +104,6 @@ class EndowmentPath:
         for a, b in zip(segs, segs[1:]):
             if b.start <= a.start:
                 raise DomainError("segment start dates must be strictly increasing")
-        if not self.T_max >= 0:
-            raise DomainError(f"T_max must be nonnegative, got {self.T_max!r}")
         if not segs[-1].G > 1.0:
             raise DomainError(
                 f"final segment must grow at a factor above 1, got G={segs[-1].G!r}"
@@ -136,11 +130,11 @@ class EndowmentPath:
                 e_y, e_o = seg.e1 * power, seg.e2 * power
                 if not (math.isfinite(e_y) and math.isfinite(e_o)):
                     raise HorizonError(
-                        f"endowment level is not finite at date {t} (G={float(seg.G)!r}); "
+                        f"endowment level is not finite at date {t} (G={seg.G!r}); "
                         "shorten the horizon"
                     )
-                young.append(float(e_y))
-                old.append(float(e_o))
+                young.append(e_y)
+                old.append(e_o)
         return young, old
 
     @property
@@ -167,7 +161,8 @@ class BeliefSchedule:
     announcements: tuple[tuple[int, EndowmentPath], ...]
 
     def __post_init__(self):
-        ann = tuple((int(a), p) for a, p in self.announcements)
+        ann = tuple((check(a, int, name=f"announcements[{i}] date", at_least=0), p)
+                    for i, (a, p) in enumerate(self.announcements))
         object.__setattr__(self, "announcements", ann)
         if not ann:
             raise DomainError("belief schedule needs at least one announcement")
@@ -355,12 +350,9 @@ def backward_step(housing: HousingUtility, agg: CesAggregator,
     against the resale value and rent, given next-period expenditure
     ``S_next`` and old endowment ``e_o_next``.
     """
-    if not (S_next >= 0.0 and math.isfinite(S_next)):
-        raise DomainError(f"S_next must be nonnegative and finite, got {S_next!r}")
-    if not (e_y_t > 0.0 and math.isfinite(e_y_t)):
-        raise DomainError(f"e_y_t must be positive and finite, got {e_y_t!r}")
-    if not (e_o_next > 0.0 and math.isfinite(e_o_next)):
-        raise DomainError(f"e_o_next must be positive and finite, got {e_o_next!r}")
+    S_next = check(S_next, name="S_next", at_least=0.0)
+    e_y_t = check(e_y_t, name="e_y_t", above=0.0)
+    e_o_next = check(e_o_next, name="e_o_next", above=0.0)
     share = _solve_share(agg, housing, S_next / e_y_t, (e_o_next + S_next) / e_y_t, e_y_t)[0]
     return share * e_y_t
 

@@ -6,13 +6,16 @@ from 1 - 1e-14) and Brent's method on it, with the equation written out term
 by term, on ``scipy.optimize.brentq``. ``mp_share_root`` solves the same
 equation from the same float inputs at 50 significant digits with mpmath,
 and ``mp_gamma1_share`` does so for the gamma = 1 steady-state condition.
+``mp_path`` runs the whole backward recursion at 50 digits.
 """
 import math
 
 import mpmath
 from scipy.optimize import brentq as scipy_brentq
 
+from olghousing import solver
 from olghousing.errors import SolverError
+from olghousing.solver import EndowmentPath
 
 EDGE = 1e-14
 MIN_RTOL = 9e-16
@@ -115,3 +118,39 @@ def mp_gamma1_share(params, guess):
         assert abs(x - x0) < 1e-6, (root, guess)
         kappa = max(terms(root)) / abs(root * mpmath.diff(foc, root))
         return root, float(kappa)
+
+
+def mp_path(params, terminal, T, seed=None, pad=None):
+    """Shares ``(u_t, 1 - u_t)`` on dates 0..T of the backward recursion at 50 digits.
+
+    The recursion starts from the share ``seed`` at date ``T + pad`` (each,
+    when not given, the float solver's for ``terminal``) on the endowments
+    ``e1 G**t`` and ``e2 G**t`` formed at 50 digits, and solves each date's
+    equation (``mp_share_root``, which keeps mpf inputs at 50 digits) from
+    the next date's 50-digit expenditure. Each date's iteration starts at
+    the float solver's root of the same equation: a cold
+    ``solver._solve_share`` on its inputs rounded to floats. Returns the two
+    lists of mpf shares.
+    """
+    if seed is None or pad is None:
+        auto_seed, _, auto_pad = solver._terminal_seed(
+            params, EndowmentPath.from_params(params, T), terminal)
+        seed = auto_seed if seed is None else seed
+        pad = auto_pad if pad is None else pad
+    agg, housing = params.agg, params.housing
+    with mpmath.workdps(50):
+        G = mpmath.mpf(params.G)
+        e_y = [mpmath.mpf(params.e1) * G ** t for t in range(T + pad + 1)]
+        e_o = [mpmath.mpf(params.e2) * G ** t for t in range(T + pad + 1)]
+        u, y = [mpmath.mpf(seed)], [1 - mpmath.mpf(seed)]
+        for t in range(T + pad - 1, -1, -1):
+            S_next = u[-1] * e_y[t + 1]
+            sns, z_hat = S_next / e_y[t], (e_o[t + 1] + S_next) / e_y[t]
+            u_f, y_f = solver._solve_share(agg, housing, float(sns), float(z_hat),
+                                           float(e_y[t]))[:2]
+            upper = y_f < u_f
+            x0 = math.log(min(u_f, y_f))
+            w = mpmath.exp(mp_share_root(agg, housing, sns, z_hat, e_y[t], x0, upper))
+            u.append(1 - w if upper else w)
+            y.append(w if upper else 1 - w)
+        return u[::-1][:T + 1], y[::-1][:T + 1]

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -273,12 +274,17 @@ def test_detect_bubble_rejects_nonpositive_price():
         detect_bubble(broken)
 
 
-def test_rent_price_overflow_is_a_domain_error_without_a_warning():
-    # a subnormal price puts r/P past the float range, outside the tail window
+def test_rent_price_overflow_outside_the_window_gives_a_verdict_without_a_warning():
+    # a subnormal price puts r/P past the float range at date 5, outside the
+    # tail window; the verdict reads only the window, so it comes back as it
+    # does without that price
     P = 2.0 ** np.arange(41)
+    clean = detect_bubble(synthetic_path(P, np.ones(41)))
     P[5] = 1e-320
-    with pytest.raises(DomainError):
-        detect_bubble(synthetic_path(P, np.ones(41)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = detect_bubble(synthetic_path(P, np.ones(41)))
+    assert verdict.is_bubble and verdict.ratio_estimate == clean.ratio_estimate
 
 
 def test_verdicts_carry_only_what_is_reported(bub_path):

@@ -766,6 +766,24 @@ def test_endowment_overflow_exits_with_one_json_error(tmp_path, capsys, doc, dat
     assert f"at date {date} " in payload["message"]
 
 
+@pytest.mark.parametrize("doc,message", [
+    # a subnormal m leaves the date-T rent below the least normal float
+    (dict(BUB, m=1e-310, T=50, terminal="Bubbly"),
+     "rent underflows below the normal float range at date 50: r="),
+    # levels this small keep e * G**t finite until G**t itself overflows
+    (dict(BASE, e1=1e-10, e2=1.2e-10, T=7500, terminal="Fundamental"),
+     "endowment level is not finite at date 7448 (G=1.1); shorten the horizon"),
+], ids=["rent-underflow", "growth-power-overflow"])
+def test_float_edges_exit_with_one_json_error(tmp_path, capsys, doc, message):
+    code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["field"]) == ("HorizonError", None)
+    assert payload["message"].startswith(message)
+
+
 @pytest.mark.parametrize("command", ["regimes", "solve"])
 def test_gamma1_share_below_its_floor_exits_with_one_json_error(tmp_path, capsys, command):
     doc = dict(BASE, gamma=1.0, m=1e-30, e1=100.0, e2=100.0, T=60)

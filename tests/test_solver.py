@@ -29,7 +29,7 @@ from olghousing.solver import (
     solve_path,
     solve_scenario,
 )
-from oracles import brent_share_root, mp_share_root
+from oracles import brent_share_root, mp_path, mp_share_root
 
 # Frozen values computed by an independent high-precision fixed-point solve
 # of the one-step equilibrium equation.
@@ -508,6 +508,31 @@ def test_seeded_economies_with_shares_near_one_solve():
         if i in RESCUED_DRAWS:
             path = solve_path(params, None, classify(params).long_runs[-1], T)
             assert path.residuals.max() <= 1e-13, i
+
+
+# the fuzz draw whose gamma (1.0574) sits just above 1, T = 300
+DRAW_230 = next(params for i, params, _ in seeded_economies(231) if i == 230)
+
+
+@pytest.mark.parametrize("params,terminal,T", [
+    (FUND, TerminalKind.FUNDAMENTAL, 100),
+    (BUB, TerminalKind.BUBBLY, 100),
+    (GAMMA1, TerminalKind.GAMMA1, 100),
+    (make_params(gamma=1.2, e1=100.0, e2=100.0), TerminalKind.GAMMA_ABOVE_1, 100),
+    (DRAW_230, TerminalKind.GAMMA_ABOVE_1, 300),
+], ids=["fundamental", "bubbly", "gamma1", "gamma-1.2", "fuzz-draw-230"])
+def test_path_matches_the_recursion_at_50_digits(params, terminal, T):
+    # the same seed and pad, the whole recursion at 50 digits: the float
+    # path's own rounding, in both shares, stays within 1e-14 relative at
+    # every reported date (measured: at most 2.5e-15, on draw 230). The
+    # seed's own distance from the exact path is not measured here
+    path = solve_path(params, None, terminal, T)
+    u, y = mp_path(params, terminal, T)
+    with mpmath.workdps(50):
+        for t in range(T + 1):
+            young = mpmath.mpf(path.c_y[t]) / mpmath.mpf(path.e_y[t])
+            assert abs(path.s[t] - u[t]) <= 1e-14 * u[t], t
+            assert abs(young - y[t]) <= 1e-14 * y[t], t
 
 
 def test_sink_steady_state_path_stays_near_star():
