@@ -4,109 +4,18 @@ Computes regime thresholds, steady states and their local stability,
 backward-induction equilibrium paths under fundamental and bubbly terminal
 conditions, belief-revision scenarios, bubble detection, and Pareto
 efficiency diagnostics, with a configuration-driven command line on top.
+
+The namespace is the join of the modules' ``__all__``: each public name is
+listed once, by the module that defines it.
 """
-from .analytics import (
-    BubbleVerdict,
-    EfficiencyBranch,
-    EfficiencyVerdict,
-    Verdict,
-    detect_bubble,
-    efficiency_test,
-    tail_growth,
-)
-from .cli import AnnouncementSpec, RunConfig, main
-from .errors import (
-    ApplicabilityError,
-    BranchError,
-    ConfigError,
-    DomainError,
-    HorizonError,
-    LoanError,
-    ModelError,
-    RegimeError,
-    SolverError,
-)
-from .preferences import CesAggregator, HousingUtility
-from .regimes import (
-    CreditTransform,
-    Determinacy,
-    EconomyParams,
-    LongRunKind,
-    Regime,
-    RegimeTag,
-    SteadyStateKind,
-    SteadyStateReport,
-    Thresholds,
-    WelfareClass,
-    bubbly_steady_state,
-    classify,
-    credit_transform,
-    fundamental_steady_state,
-    gamma1_steady_state,
-    steady_state,
-    thresholds,
-    welfare_class,
-)
-from .solver import (
-    BeliefSchedule,
-    EndowmentPath,
-    EquilibriumPath,
-    Segment,
-    TerminalKind,
-    backward_step,
-    solve_path,
-    solve_scenario,
-)
+from .errors import *
+from .preferences import *
+from .regimes import *
+from .solver import *
+from .analytics import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CesAggregator",
-    "HousingUtility",
-    "EconomyParams",
-    "Thresholds",
-    "Regime",
-    "RegimeTag",
-    "SteadyStateKind",
-    "SteadyStateReport",
-    "Determinacy",
-    "LongRunKind",
-    "WelfareClass",
-    "CreditTransform",
-    "thresholds",
-    "classify",
-    "fundamental_steady_state",
-    "bubbly_steady_state",
-    "gamma1_steady_state",
-    "steady_state",
-    "welfare_class",
-    "credit_transform",
-    "Segment",
-    "EndowmentPath",
-    "BeliefSchedule",
-    "TerminalKind",
-    "EquilibriumPath",
-    "backward_step",
-    "solve_path",
-    "solve_scenario",
-    "Verdict",
-    "EfficiencyBranch",
-    "BubbleVerdict",
-    "EfficiencyVerdict",
-    "detect_bubble",
-    "efficiency_test",
-    "tail_growth",
-    "AnnouncementSpec",
-    "RunConfig",
-    "main",
-    "ModelError",
-    "DomainError",
-    "BranchError",
-    "RegimeError",
-    "LoanError",
-    "SolverError",
-    "HorizonError",
-    "ApplicabilityError",
-    "ConfigError",
-    "__version__",
-]
+__all__ = (errors.__all__ + preferences.__all__ + regimes.__all__ + solver.__all__
+           + analytics.__all__ + cli.__all__ + ["__version__"])

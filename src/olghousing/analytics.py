@@ -16,8 +16,9 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ApplicabilityError, DomainError
-from .solver import EquilibriumPath, TerminalKind
+from .errors import ApplicabilityError, DomainError, check
+from .regimes import TerminalKind
+from .solver import EquilibriumPath
 
 __all__ = [
     "BubbleVerdict",
@@ -28,6 +29,10 @@ __all__ = [
     "detect_bubble",
     "efficiency_test",
 ]
+
+# the verdicts' tail window, and their cut 1 - delta on tail ratios, kept positive
+WINDOW = {"kind": int, "at_least": 2}
+DELTA = {"above": 0.0, "below": 1.0}
 
 
 class Verdict(str, Enum):
@@ -102,6 +107,7 @@ def tail_growth(series, window: int = 20) -> float:
     ``window + 1`` entries the mean spans are read, and each must be a
     positive finite number.
     """
+    window = check(window, int, name="window")
     if getattr(series, "ndim", 1) != 1:
         raise DomainError("series must be one-dimensional")
     try:
@@ -109,6 +115,9 @@ def tail_growth(series, window: int = 20) -> float:
         x = list(map(float, series[-window - 1:])) if 1 <= window <= n // 2 else None
     except (TypeError, ValueError):
         raise DomainError("series must be a sequence of numbers") from None
+    # an int beyond the float range
+    except OverflowError:
+        raise DomainError("series entries must be positive and finite") from None
     if x is None:
         raise DomainError(
             f"window must be between 1 and half the series length, got {window} "
@@ -119,15 +128,17 @@ def tail_growth(series, window: int = 20) -> float:
     return _growth(math.log(x[-1]) - math.log(x[0]), window)
 
 
-def _require_balanced_tail(path: EquilibriumPath, window: int) -> None:
-    if window < 2:
-        raise DomainError(f"tail window must be at least 2, got {window}")
+def _tail_arguments(path: EquilibriumPath, delta: float, window: int) -> tuple[float, int]:
+    """``(delta, window)`` as checked, once the window fits the final balanced-growth segment."""
+    delta = check(delta, name="delta", **DELTA)
+    window = check(window, name="window", **WINDOW)
     available = path.T - path.balanced_from + 1
     if available < window + 1:
         raise ApplicabilityError(
             f"tail window of {window} needs {window + 1} dates inside the final "
             f"balanced-growth segment, which has only {available}"
         )
+    return delta, window
 
 
 def _tail_interest(path: EquilibriumPath, window: int) -> float:
@@ -147,7 +158,7 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     truncates the present-value rent sum at the horizon and closes it with
     a geometric remainder at the fitted tail rates.
     """
-    _require_balanced_tail(path, window)
+    delta, window = _tail_arguments(path, delta, window)
     if not min(path.P) > 0.0:
         raise DomainError("price must be positive at every date")
     T = path.T
@@ -190,7 +201,7 @@ def efficiency_test(path: EquilibriumPath, delta: float = 1e-3,
     efficient when the path sustains a bubble (terms bounded away from 0)
     and indeterminate otherwise.
     """
-    _require_balanced_tail(path, window)
+    delta, window = _tail_arguments(path, delta, window)
     if not min(path.R) > 0.0:
         raise DomainError("interest factors must be positive at every date")
     rate = _tail_interest(path, window) / path.endowments.segments[-1].G

@@ -16,30 +16,25 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
-from .analytics import detect_bubble, efficiency_test, tail_growth
+from .analytics import DELTA, WINDOW, detect_bubble, efficiency_test, tail_growth
 from .errors import ConfigError, DomainError, ModelError, bounded, bounded_as, check
 from .preferences import CesAggregator, HousingUtility
 from .regimes import (
+    LOAN_RATIO,
     EconomyParams,
     LongRunKind,
     Regime,
+    TerminalKind,
     classify,
     credit_transform,
     steady_state,
     welfare_class,
 )
-from .solver import (
-    BeliefSchedule,
-    EndowmentPath,
-    EquilibriumPath,
-    Segment,
-    TerminalKind,
-    solve_path,
-    solve_scenario,
-)
+from .solver import (BeliefSchedule, EndowmentPath, EquilibriumPath, Segment, solve_path,
+                     solve_scenario)
 
 __all__ = ["AnnouncementSpec", "RunConfig", "main"]
 
@@ -95,12 +90,6 @@ def _terminal_name(where: str, name: Any, alternatives: str = "") -> str | None:
     return name
 
 
-def _number(kind: type, default: Any = None, *, key: str | None = None, **bounds: float) -> Any:
-    """A numeric ``RunConfig`` field: its type, default and ``check`` bounds,
-    read from JSON ``key`` when that is not the field name."""
-    return field(default=default, metadata={"key": key, "check": {"kind": kind, **bounds}})
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated flat configuration for one run.
@@ -117,20 +106,19 @@ class RunConfig:
     G: float | None = bounded_as(EconomyParams, "G", None)
     e1: float | None = bounded_as(EconomyParams, "e1", None)
     e2: float | None = bounded_as(EconomyParams, "e2", None)
-    T: int = _number(int, 200, at_least=1)
-    tail_window: int = _number(int, 20, at_least=2)
-    # the bubble and efficiency verdicts cut tail ratios at 1 - delta, kept positive
-    delta: float = _number(float, 1e-3, above=0.0, below=1.0)
+    T: int = bounded(int, 200, at_least=1)
+    tail_window: int = bounded(default=20, **WINDOW)
+    delta: float = bounded(default=1e-3, **DELTA)
     terminal: str | None = None
     announcements: tuple[AnnouncementSpec, ...] | None = None
     terminals: tuple[str | None, ...] | None = None
-    loan_ratio: float | None = _number(float, key="lambda", at_least=0.0)
-    gamma_inv_min: float | None = _number(float, above=0.0)
-    gamma_inv_max: float | None = _number(float, above=0.0)
-    w_inv_min: float | None = _number(float, above=0.0)
-    w_inv_max: float | None = _number(float, above=0.0)
+    loan_ratio: float | None = bounded(float, None, **LOAN_RATIO)
+    gamma_inv_min: float | None = bounded(float, None, above=0.0)
+    gamma_inv_max: float | None = bounded(float, None, above=0.0)
+    w_inv_min: float | None = bounded(float, None, above=0.0)
+    w_inv_max: float | None = bounded(float, None, above=0.0)
     # at most 1000 points per axis: a million cells, each about 0.1 ms
-    resolution: int | None = _number(int, at_least=2, below=1001)
+    resolution: int | None = bounded(int, None, at_least=2, below=1001)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -165,8 +153,10 @@ class RunConfig:
                              HousingUtility(self.gamma, self.m), self.G, self.e1, self.e2)
 
 
-# JSON key -> RunConfig field, in field order
-_FIELDS = {spec.metadata.get("key") or spec.name: spec for spec in fields(RunConfig)}
+# JSON key -> RunConfig field, in field order; the one key that is not its
+# field's name is "lambda", a Python keyword
+_FIELDS = {"lambda" if spec.name == "loan_ratio" else spec.name: spec
+           for spec in fields(RunConfig)}
 
 
 def _parse_announcements(raw: Any) -> tuple[AnnouncementSpec, ...]:

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and its one numeric input check."""
 import sys
 from dataclasses import MISSING, field
+from enum import Enum
 from numbers import Integral
 
 __all__ = ["ModelError", "DomainError", "BranchError", "RegimeError", "LoanError",
@@ -50,16 +51,22 @@ class ConfigError(ModelError, ValueError):
 
 def check(value, kind: type = float, *, name: str | None = None, above: float | None = None,
           at_least: float | None = None, below: float | None = None):
-    """``value`` as a ``kind`` (an int, or a float), if it is one within its bounds.
+    """``value`` as a ``kind`` (an int, a float, or an ``Enum``), if it is one within its bounds.
 
     An int is any ``numbers.Integral`` (a numpy integer too), and a float
     is a float or an int; a bool is neither. A float must be finite, so an
-    int beyond the float range is not one. Otherwise raises ``DomainError``,
-    its message prefixed by ``name: `` when a name is given.
+    int beyond the float range is not one. An enum takes a member or its
+    value. Otherwise raises ``DomainError``, its message prefixed by
+    ``name: `` when a name is given.
     """
     number = kind is not int
-    if (not isinstance(value, (float, Integral) if number else Integral) or isinstance(value, bool)
-            or number and not abs(value) <= sys.float_info.max):
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            reason = f"must be one of {tuple(member.value for member in kind)}"
+    elif (not isinstance(value, (float, Integral) if number else Integral)
+            or isinstance(value, bool) or number and not abs(value) <= sys.float_info.max):
         reason = f"expected {'a finite number' if number else 'an integer'}"
     else:
         value = kind(value)
@@ -79,9 +86,9 @@ def check(value, kind: type = float, *, name: str | None = None, above: float | 
     raise DomainError(f"{'' if name is None else name + ': '}{reason}, got {shown}")
 
 
-def bounded(kind: type = float, **bounds: float):
-    """A dataclass field that ``check_fields`` checks: its kind and bounds, declared once."""
-    return field(metadata={"check": {"kind": kind, **bounds}})
+def bounded(kind: type = float, default=MISSING, **bounds: float):
+    """A dataclass field that ``check_fields`` checks: kind, default and bounds, declared once."""
+    return field(default=default, metadata={"check": {"kind": kind, **bounds}})
 
 
 def bounded_as(cls: type, name: str, default=MISSING):

@@ -52,6 +52,9 @@ BOUNDARY_TOL = 1e-9
 _GAMMA1_EDGE = 1e-12
 # evaluation cap of its root solve
 _GAMMA1_MAX_EVALUATIONS = 200
+# the loan-to-income ratio is never negative (``credit_transform`` keeps it
+# below the income ratio too)
+LOAN_RATIO = {"at_least": 0.0}
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,11 @@ def _fundamental_level(params: EconomyParams) -> tuple[float, float, float]:
     return level, cy, g_cz
 
 
+def _admits_fundamental(params: EconomyParams, thr: Thresholds) -> bool:
+    """Whether the fundamental long run exists: above ``w_f_star``, at a representable level."""
+    return params.income_ratio > thr.w_f_star and 0.0 < _fundamental_level(params)[0] < math.inf
+
+
 def classify(params: EconomyParams) -> Regime:
     """Regime tag and long runs from the curvature branch and the income ratio.
 
@@ -296,8 +304,8 @@ def classify(params: EconomyParams) -> Regime:
         return Regime(tag=RegimeTag.COBB_DOUGLAS_FUNDAMENTAL, income_ratio=w,
                       long_runs=(TerminalKind.GAMMA1,))
     thr = thresholds(params)
-    fundamental = w > thr.w_f_star and 0.0 < _fundamental_level(params)[0] < math.inf
-    exists = {TerminalKind.FUNDAMENTAL: fundamental, TerminalKind.BUBBLY: w < thr.w_b_star}
+    exists = {TerminalKind.FUNDAMENTAL: _admits_fundamental(params, thr),
+              TerminalKind.BUBBLY: w < thr.w_b_star}
     long_runs = tuple(kind for kind, admitted in exists.items() if admitted)
     if abs(w - thr.w_b_star) <= BOUNDARY_TOL:
         return Regime(tag=RegimeTag.FUNDAMENTAL, income_ratio=w, thresholds=thr,
@@ -489,9 +497,10 @@ def steady_state(params: EconomyParams, long_run: TerminalKind | str) -> SteadyS
     """Steady-state report of one long run, None for GammaAbove1 (it has none).
 
     A long run of another curvature branch raises ``BranchError``; one the
-    income ratio does not admit raises ``RegimeError``.
+    income ratio does not admit raises ``RegimeError``, and a name that is
+    no long run ``DomainError``.
     """
-    long_run = TerminalKind(long_run)
+    long_run = check(long_run, TerminalKind, name="long_run")
     gamma = params.housing.gamma
     if gamma < 1.0:
         if long_run is TerminalKind.FUNDAMENTAL:
@@ -511,22 +520,23 @@ def steady_state(params: EconomyParams, long_run: TerminalKind | str) -> SteadyS
     return None
 
 
-def welfare_class(params: EconomyParams, kind: LongRunKind) -> WelfareClass:
+def welfare_class(params: EconomyParams, kind: LongRunKind | str) -> WelfareClass:
     """Pareto classification of a long-run equilibrium kind (gamma < 1).
 
     Any long run is efficient when the income ratio is at or above
     ``w_b_star``; below it, bubbly long runs are efficient and fundamental
-    ones are not. Asking about a fundamental long run that cannot exist
-    (income ratio at or below ``w_f_star``) is an error.
+    ones are not. Asking about a fundamental long run that ``classify`` does
+    not list (income ratio at or below ``w_f_star``, or within rounding
+    above it) is an error.
     """
     _require_gamma_below_one(params, "welfare_class")
-    kind = LongRunKind(kind)
+    kind = check(kind, LongRunKind, name="kind")
     thr = thresholds(params)
     w = params.income_ratio
-    if kind is LongRunKind.FUNDAMENTAL_LONG_RUN and w <= thr.w_f_star:
+    if kind is LongRunKind.FUNDAMENTAL_LONG_RUN and not _admits_fundamental(params, thr):
         raise RegimeError(
-            f"no fundamental long run exists at income ratio {w:.6g} <= "
-            f"w_f_star {thr.w_f_star:.6g}"
+            f"no fundamental long run exists at income ratio {w!r} "
+            f"(w_f_star {thr.w_f_star!r})"
         )
     if w >= thr.w_b_star:
         return WelfareClass.EFFICIENT
@@ -544,7 +554,7 @@ def credit_transform(params: EconomyParams, loan_ratio: float) -> CreditTransfor
     the bubbly long run may not exist and a warning is attached.
     """
     _require_gamma_below_one(params, "credit_transform")
-    loan_ratio = check(loan_ratio, name="loan_ratio", at_least=0.0)
+    loan_ratio = check(loan_ratio, name="loan_ratio", **LOAN_RATIO)
     w = params.income_ratio
     if loan_ratio >= w:
         raise LoanError(

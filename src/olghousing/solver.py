@@ -36,7 +36,6 @@ __all__ = [
     "Segment",
     "EndowmentPath",
     "Column",
-    "TerminalKind",
     "EquilibriumPath",
     "BeliefSchedule",
     "backward_step",
@@ -412,7 +411,7 @@ def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[floa
     return price, rent_level, residual
 
 
-def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind | str,
+def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind,
               T: int, first: int, stop: int) -> tuple:
     """One belief's equilibrium, solved backwards from its terminal seed down to date ``first``.
 
@@ -430,7 +429,6 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             f"horizon {T} ends before the final balanced-growth segment "
             f"starting at {endowments.balanced_from}"
         )
-    terminal = TerminalKind(terminal)
     seed_share, lambda1, pad = _terminal_seed(params, endowments, terminal)
     t_seed = T + pad
     log.debug(
@@ -486,7 +484,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
 
 
 def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentPath]],
-            terminals: Sequence[TerminalKind | str], T: int,
+            terminals: Sequence[TerminalKind], T: int,
             realized: EndowmentPath) -> EquilibriumPath:
     """The path on dates 0..T that each belief solves from its announcement on.
 
@@ -506,7 +504,7 @@ def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentP
         e_y=e_y, e_o=e_o, s=s, P=P, r=r, c_y=c_y, residuals=residuals,
         belief_index=Column(k for k in range(len(announcements))
                             for _ in range(bounds[k], bounds[k + 1])),
-        terminal_kind=TerminalKind(terminals[-1]),
+        terminal_kind=terminals[-1],
         endowments=realized,
         S_after=S_after,
         revision_dates=tuple(a for a, _ in announcements[1:]),
@@ -530,8 +528,11 @@ def solve_path(params: EconomyParams,
     final segment or, on the returned window, some price fails to be
     positive or underflows against expenditure, or some rent underflows.
     A solver error names the date whose share root is not representable or
-    whose residual exceeds 1e-10.
+    whose residual exceeds 1e-10. A terminal that is no long run, or a
+    horizon that is no int, is a domain error.
     """
+    terminal = check(terminal, TerminalKind, name="terminal")
+    T = check(T, int, name="T")
     if T < 1:
         raise HorizonError(f"horizon must be at least 1, got {T}")
     if endowments is None:
@@ -559,6 +560,9 @@ def solve_scenario(params: EconomyParams,
         raise DomainError(
             f"got {len(terminals)} terminal kinds for {len(announcements)} announcements"
         )
+    terminals = [check(kind, TerminalKind, name=f"terminals[{k}]")
+                 for k, kind in enumerate(terminals)]
+    T = check(T, int, name="T")
     if T < 1:
         raise HorizonError(f"horizon must be at least 1, got {T}")
     if announcements[-1][0] > T:

@@ -187,6 +187,11 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _dated(*dates):
+    """Announcements at these (announce, effective) dates, each of the e1/e2 of ``FUND``."""
+    return [{"announce_date": a, "effective_date": e, "e1": 95.0, "e2": 105.0} for a, e in dates]
+
+
 ERROR_LINES = [
     *(pytest.param("solve", dict(BUB, **{key: value}), key, message, id=f"{key}-{i}")
       for key, cases in NUMERIC_KEY_ERRORS.items() for i, (value, message) in enumerate(cases)),
@@ -219,6 +224,20 @@ ERROR_LINES = [
                  "expected a list", id="terminals-before-beta"),
     pytest.param("scenario", dict(BUB, terminals=["Bubbly", "Forever"]), "terminals[1]",
                  f"must be one of {_TERMINAL_NAMES} or null, got 'Forever'", id="terminals-entry"),
+    pytest.param("scenario", dict(FUND, announcements=[*_dated((0, 0)), 5]), "announcements[1]",
+                 "expected an object", id="announcement-not-an-object"),
+    pytest.param("scenario", dict(FUND, announcements=_dated((0, 0), (40, 40), (30, 50))),
+                 "announcements[2].announce_date",
+                 "announcement dates must be strictly increasing", id="announce-dates-decrease"),
+    pytest.param("scenario", dict(FUND, announcements=_dated((0, 0), (10, 50), (20, 40))),
+                 "announcements[2].effective_date",
+                 "effective dates must be strictly increasing", id="effective-dates-decrease"),
+    pytest.param("solve", dict(BASE, e1=100.0, e2=100.0), "terminal",
+                 "income ratio sits on the w_b_star boundary; specify the terminal explicitly",
+                 id="terminal-on-the-w_b_star-boundary"),
+    pytest.param("scenario", dict(FUND, announcements=_dated((0, 0)),
+                                  terminals=["Fundamental", None]), "terminals",
+                 "got 2 entries for 1 announcements", id="terminals-count"),
 ]
 
 

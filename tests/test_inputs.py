@@ -1,11 +1,13 @@
-"""The library's numeric input contract.
+"""The library's input contract.
 
 Every checked argument of the model objects and of ``backward_step``,
-``credit_transform`` and ``BeliefSchedule`` is a number, not a bool,
-finite and within its bound, or the call raises ``DomainError`` naming
-the argument; accepted values are stored as floats. The CLI reads its
-config keys through the same check, and its seven economy keys take their
-bounds from the model fields they feed.
+``credit_transform``, ``BeliefSchedule``, the horizon ``T`` and the
+verdicts' ``window`` and ``delta`` is a number, not a bool, finite and
+within its bound, and a long-run name is one of its enum's, or the call
+raises ``DomainError`` naming the argument; accepted values are stored as
+floats. The CLI reads its config keys through the same check, and its
+economy, tail-window, delta and loan-ratio keys take their bounds from the
+library's declarations.
 """
 import dataclasses
 
@@ -14,7 +16,8 @@ import pytest
 
 from olghousing import (BeliefSchedule, CesAggregator, ConfigError, DomainError, EconomyParams,
                         EndowmentPath, HorizonError, HousingUtility, RunConfig, Segment,
-                        backward_step, credit_transform, solve_path)
+                        backward_step, credit_transform, detect_bubble, efficiency_test,
+                        solve_path, solve_scenario, steady_state, tail_growth, welfare_class)
 from olghousing.cli import _FIELDS
 
 AGG = CesAggregator(0.5, 1.0)
@@ -22,6 +25,8 @@ HOUSING = HousingUtility(0.5, 0.1)
 PARAMS = EconomyParams(AGG, HOUSING, 1.1, 100.0, 120.0)
 SEGMENTS = (Segment(0, 95.0, 105.0, 1.1),)
 BELIEF = EndowmentPath(SEGMENTS, 100)
+SCHEDULE = BeliefSchedule(((0, BELIEF),))
+PATH = solve_path(PARAMS, None, "Fundamental", 50)
 HUGE = 10 ** 400
 
 # each call raised TypeError, ValueError or OverflowError, or was accepted,
@@ -47,6 +52,27 @@ CALLS = {
     "sigma-bool": (lambda: CesAggregator(0.5, True), "sigma"),
     "date-fraction": (lambda: BeliefSchedule(((0, BELIEF), (2.5, BELIEF))),
                       "announcements[1] date"),
+    # long-run names, horizons and the verdicts' arguments: each raised
+    # ValueError, TypeError or OverflowError, or gave a verdict, before they
+    # went through the check
+    "terminal-unknown": (lambda: solve_path(PARAMS, None, "Forever", 50), "terminal"),
+    "long-run-unknown": (lambda: steady_state(PARAMS, "Forever"), "long_run"),
+    "terminals-unknown": (lambda: solve_scenario(PARAMS, SCHEDULE, BELIEF, ("Forever",), 50),
+                          "terminals[0]"),
+    "welfare-kind-unknown": (lambda: welfare_class(PARAMS, "Bogus"), "kind"),
+    "T-string": (lambda: solve_path(PARAMS, None, "Bubbly", "7"), "T"),
+    # named T_max, through the endowment path it built, before the check
+    "T-float": (lambda: solve_path(PARAMS, None, "Bubbly", 50.0), "T"),
+    "scenario-T-float": (lambda: solve_scenario(PARAMS, SCHEDULE, BELIEF, ("Bubbly",), 50.0),
+                         "T"),
+    "bubble-window-fraction": (lambda: detect_bubble(PATH, window=2.5), "window"),
+    "efficiency-window-fraction": (lambda: efficiency_test(PATH, window=2.5), "window"),
+    "delta-string": (lambda: detect_bubble(PATH, delta="x"), "delta"),
+    "delta-nan": (lambda: detect_bubble(PATH, delta=float("nan")), "delta"),
+    "delta-above-one": (lambda: detect_bubble(PATH, delta=2.0), "delta"),
+    "efficiency-delta-negative": (lambda: efficiency_test(PATH, delta=-1.0), "delta"),
+    "tail-growth-window-fraction": (lambda: tail_growth([1.0] * 40, 2.5), "window"),
+    "tail-growth-huge-int": (lambda: tail_growth([1.0] * 40 + [HUGE], 20), "series"),
 }
 
 
@@ -104,3 +130,17 @@ def test_config_and_library_give_the_same_words():
     with pytest.raises(ConfigError) as config:
         RunConfig.from_dict({"m": -1.0})
     assert str(library.value) == str(config.value) == "m: must be above 0.0, got -1.0"
+
+
+@pytest.mark.parametrize("key,value,call", [
+    ("delta", 2.0, lambda: detect_bubble(PATH, delta=2.0)),
+    ("tail_window", 1, lambda: efficiency_test(PATH, window=1)),
+    ("lambda", -0.1, lambda: credit_transform(PARAMS, -0.1)),
+])
+def test_config_keys_and_library_arguments_share_their_bounds(key, value, call):
+    with pytest.raises(DomainError) as library:
+        call()
+    with pytest.raises(ConfigError) as config:
+        RunConfig.from_dict({key: value})
+    # the argument's name, then the words of the one bound
+    assert str(library.value).split(": ", 1)[1] == config.value.message

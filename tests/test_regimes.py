@@ -486,6 +486,10 @@ def test_welfare_class_errors():
         welfare_class(BUBBLY, LongRunKind.FUNDAMENTAL_LONG_RUN)
     with pytest.raises(BranchError):
         welfare_class(make_params(gamma=1.0), LongRunKind.FUNDAMENTAL_LONG_RUN)
+    # above w_f_star, but classify lists no fundamental long run there
+    with pytest.raises(RegimeError, match="^no fundamental long run exists at income ratio "):
+        welfare_class(ULP_ABOVE_W_F, LongRunKind.FUNDAMENTAL_LONG_RUN)
+    assert welfare_class(ULP_ABOVE_W_F, "BubblyLongRun") is WelfareClass.EFFICIENT
 
 
 # ---------------------------------------------------------------- credit
