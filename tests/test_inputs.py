@@ -60,11 +60,12 @@ CALLS = {
     "terminals-unknown": (lambda: solve_scenario(PARAMS, SCHEDULE, BELIEF, ("Forever",), 50),
                           "terminals[0]"),
     "welfare-kind-unknown": (lambda: welfare_class(PARAMS, "Bogus"), "kind"),
-    "T-string": (lambda: solve_path(PARAMS, None, "Bubbly", "7"), "T"),
+    # "T:", since "T" is also how "T_max" starts
+    "T-string": (lambda: solve_path(PARAMS, None, "Bubbly", "7"), "T:"),
     # named T_max, through the endowment path it built, before the check
-    "T-float": (lambda: solve_path(PARAMS, None, "Bubbly", 50.0), "T"),
+    "T-float": (lambda: solve_path(PARAMS, None, "Bubbly", 50.0), "T:"),
     "scenario-T-float": (lambda: solve_scenario(PARAMS, SCHEDULE, BELIEF, ("Bubbly",), 50.0),
-                         "T"),
+                         "T:"),
     "bubble-window-fraction": (lambda: detect_bubble(PATH, window=2.5), "window"),
     "efficiency-window-fraction": (lambda: efficiency_test(PATH, window=2.5), "window"),
     "delta-string": (lambda: detect_bubble(PATH, delta="x"), "delta"),
