@@ -30,9 +30,12 @@ __all__ = [
     "efficiency_test",
 ]
 
-# the verdicts' tail window, and their cut 1 - delta on tail ratios, kept positive
+# the verdicts' tail window, and their cut 1 - delta on tail ratios, kept
+# positive: the bounds, and the defaults the library and the CLI share
 WINDOW = {"kind": int, "at_least": 2}
 DELTA = {"above": 0.0, "below": 1.0}
+DEFAULT_WINDOW = 20
+DEFAULT_DELTA = 1e-3
 
 
 class Verdict(str, Enum):
@@ -98,7 +101,7 @@ def _growth(change: float, n: int) -> float:
         ) from None
 
 
-def tail_growth(series, window: int = 20) -> float:
+def tail_growth(series, window: int = DEFAULT_WINDOW) -> float:
     """Geometric mean growth factor over the last ``window`` increments.
 
     The log increments telescope, so their mean is the change of log
@@ -149,8 +152,8 @@ def _tail_interest(path: EquilibriumPath, window: int) -> float:
     return _growth(math.fsum(map(math.log, path.R[-window:])), window)
 
 
-def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
-                  window: int = 20) -> BubbleVerdict:
+def detect_bubble(path: EquilibriumPath, delta: float = DEFAULT_DELTA,
+                  window: int = DEFAULT_WINDOW) -> BubbleVerdict:
     """Classify a path as bubbly from the decay of its rent-price ratio.
 
     The rent-price sum converges (bubble) or diverges (no bubble)
@@ -190,8 +193,8 @@ def detect_bubble(path: EquilibriumPath, delta: float = 1e-3,
     )
 
 
-def efficiency_test(path: EquilibriumPath, delta: float = 1e-3,
-                    window: int = 20) -> EfficiencyVerdict:
+def efficiency_test(path: EquilibriumPath, delta: float = DEFAULT_DELTA,
+                    window: int = DEFAULT_WINDOW) -> EfficiencyVerdict:
     """Classify a path as efficient from its growth-deflated interest rates.
 
     The criterion terms are 1/(G^t q_t), the running product of R_s/G.

@@ -19,7 +19,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
-from .analytics import DELTA, WINDOW, detect_bubble, efficiency_test, tail_growth
+from .analytics import (DEFAULT_DELTA, DEFAULT_WINDOW, DELTA, WINDOW, detect_bubble,
+                        efficiency_test, tail_growth)
 from .errors import ConfigError, DomainError, ModelError, bounded, bounded_as, check
 from .preferences import CesAggregator, HousingUtility
 from .regimes import (
@@ -107,8 +108,8 @@ class RunConfig:
     e1: float | None = bounded_as(EconomyParams, "e1", None)
     e2: float | None = bounded_as(EconomyParams, "e2", None)
     T: int = bounded(int, 200, at_least=1)
-    tail_window: int = bounded(default=20, **WINDOW)
-    delta: float = bounded(default=1e-3, **DELTA)
+    tail_window: int = bounded(default=DEFAULT_WINDOW, **WINDOW)
+    delta: float = bounded(default=DEFAULT_DELTA, **DELTA)
     terminal: str | None = None
     announcements: tuple[AnnouncementSpec, ...] | None = None
     terminals: tuple[str | None, ...] | None = None

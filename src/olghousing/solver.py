@@ -58,6 +58,9 @@ _RESIDUAL_BOUND = 1e-10
 _MAX_NEWTON = 400
 # a rent below this (the least normal float) has lost precision
 _NORMAL_MIN = sys.float_info.min
+# the relative seed error a terminal pad leaves at date T+1, and the longest pad
+_SEED_TOL = 1e-14
+_MAX_PAD = 5000
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,8 @@ class EndowmentPath:
     def from_params(cls, params: EconomyParams, T_max: int) -> "EndowmentPath":
         return cls(segments=(Segment(0, params.e1, params.e2, params.G),), T_max=T_max)
 
-    def levels(self, n: int) -> tuple[list[float], list[float]]:
-        """Young and old endowment levels ``e * G**t`` on dates ``0..n-1``.
+    def levels(self, n: int, first: int = 0) -> tuple[list[float], list[float]]:
+        """Young and old endowment levels ``e * G**t`` on dates ``first..n-1``.
 
         Raises a horizon error at the first date whose level is not finite.
         """
@@ -121,7 +124,7 @@ class EndowmentPath:
         old: list[float] = []
         ends = [seg.start for seg in self.segments[1:]] + [n]
         for seg, end in zip(self.segments, ends):
-            for t in range(len(young), min(end, n)):
+            for t in range(max(seg.start, first), min(end, n)):
                 try:
                     power = seg.G ** t
                 except OverflowError:
@@ -356,30 +359,92 @@ def backward_step(housing: HousingUtility, agg: CesAggregator,
     return share * e_y_t
 
 
-def _terminal_seed(params: EconomyParams, endowments: EndowmentPath,
-                   terminal: TerminalKind) -> tuple[float, float | None, int]:
+def _terminal_seed(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind,
+                   T: int, ends: tuple[float, float, float] | None = None
+                   ) -> tuple[float, float | None, int]:
     """Terminal share seed, the slope ``lambda1`` at its steady state, and the pad.
 
-    The pad is the distance beyond the horizon at which the seed is planted.
-    The backward recursion contracts seed error by 1/|lambda1| per step, so
-    around 28 e-foldings leave a relative error of about e^-28 ~ 6.9e-13 at
-    date T, not machine precision: tripling this pad moves a fundamental
-    path's s_T (seeded at 0) by 6.2-6.8e-13. The pad is 60 to 5000
-    periods, and 1 only for a seed that is exact: the gamma = 1 share, and
-    a bubbly share that is not a saddle. A fundamental seed is share 0 (its
-    steady state is a detrended level), never exact, so it takes 5000
-    periods where |lambda1| is too close to 1 for 28 e-foldings.
+    The pad is the distance beyond the horizon T at which the seed is
+    planted; the seed is the share at date T + pad. A saddle long run is
+    seeded at its steady state: the bubbly share s*, or the fundamental
+    share ``s_star * e_y**(gamma - 1)`` of the detrended level. That seed
+    is off only by the rent wedge, which decays by lambda2 = G**(gamma - 1)
+    per date, and the backward recursion contracts its error by 1/|lambda1|
+    per date. So one step from the seed at T+1 measures the wedge left at
+    T: with ``d = u_T / seed(T) - 1`` and rho = lambda2/|lambda1|, a pad p
+    leaves about ``|d| * lambda2 * rho**(p - 1) / (1 - rho)`` relative
+    error at date T+1, the last date a reported value reads (P_T, R_T and
+    the expenditure after T), and the pad is the smallest p >= 1 that
+    brings this to ``_SEED_TOL``, at most ``_MAX_PAD``. ``ends`` holds the
+    levels that step reads, ``(e_y[T], e_y[T+1], e_o[T+1])``; without it
+    they are formed here.
+
+    Where the fundamental level is flagged unreliable (just above
+    ``w_f_star``) or its share at T+1 is not in (0, 1/2), the seed is share
+    0 with a pad of 28 e-foldings of |lambda1| (60 to ``_MAX_PAD`` dates);
+    a steady-state seed whose probe step fails takes that pad too. An
+    exact seed, the gamma = 1 share or a bubbly share that is not a saddle,
+    takes pad 1; gamma > 1, which has no steady state, plants 1 - 1e-6 150
+    dates out.
     """
     rep = steady_state(endowments.final_params(params), terminal)
     if rep is None:
-        return 1.0 - 1e-6, None, 150
+        return _chosen(terminal, T, 1.0 - 1e-6, None, 150, "fallback: fixed GammaAbove1 pad")
+    lambda1 = rep.lambda1
     fundamental = rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED
-    seed = 0.0 if fundamental else rep.s_star
     if not fundamental and (rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH
-                            or not abs(rep.lambda1) > 1.0 + 1e-12):
-        return seed, rep.lambda1, 1
-    rate = math.log(abs(rep.lambda1)) if abs(rep.lambda1) > 1.0 else 0.0
-    return seed, rep.lambda1, max(math.ceil(28.0 / rate), 60) if rate > 28.0 / 5000 else 5000
+                            or not abs(lambda1) > 1.0 + 1e-12):
+        return _chosen(terminal, T, rep.s_star, lambda1, 1, "fallback: exact seed")
+    if ends is None:
+        young, old = endowments.levels(T + 2, T)
+        ends = (young[0], young[1], old[1])
+    e_y_T, e_y_next, e_o_next = ends
+    at_T = at_next = rep.s_star
+    if fundamental:
+        exponent = params.housing.gamma - 1.0
+        try:
+            at_T, at_next = rep.s_star * e_y_T ** exponent, rep.s_star * e_y_next ** exponent
+        except OverflowError:
+            # a subnormal young endowment: the level's share is not representable
+            at_T = at_next = math.inf
+        if rep.warning is not None or not 0.0 < at_next < 0.5:
+            return _chosen(terminal, T, 0.0, lambda1, _e_folding_pad(lambda1),
+                           "fallback: zero seed, 28 e-foldings of |lambda1|")
+    try:
+        u = _solve_share(params.agg, params.housing, at_next * (e_y_next / e_y_T),
+                         (e_o_next + at_next * e_y_next) / e_y_T, e_y_T,
+                         (at_next, 1.0 - at_next))[0]
+    except (HorizonError, SolverError):
+        pad, rule = _e_folding_pad(lambda1), "fallback: probe failed, 28 e-foldings of |lambda1|"
+    else:
+        d = u / at_T - 1.0
+        rho = rep.lambda2 / abs(lambda1)
+        # the error left at T+1 by pad 1; each further pad date multiplies it
+        # by rho (0 where |lambda1| overflows, so one date clears any error)
+        error = abs(d) * rep.lambda2 / (1.0 - rho)
+        pad = 1
+        if error > _SEED_TOL:
+            dates = (math.log(error) - math.log(_SEED_TOL)) / math.log(abs(lambda1) / rep.lambda2)
+            pad = min(1 + max(math.ceil(dates), 1), _MAX_PAD) if dates < _MAX_PAD else _MAX_PAD
+        rule = f"probe d={d:.3g}, predicted error {error * rho ** (pad - 1):.3g} at date T+1"
+    # the fundamental share falls by lambda2 per date along the seed's level
+    seed = at_next * rep.lambda2 ** (pad - 1) if fundamental else at_next
+    return _chosen(terminal, T, seed, lambda1, pad, rule)
+
+
+def _e_folding_pad(lambda1: float) -> int:
+    """28 e-foldings of |lambda1|, 60 to ``_MAX_PAD`` dates: a pad sized without a probe."""
+    rate = math.log(abs(lambda1)) if abs(lambda1) > 1.0 else 0.0
+    return max(math.ceil(28.0 / rate), 60) if rate > 28.0 / _MAX_PAD else _MAX_PAD
+
+
+def _chosen(terminal: TerminalKind, T: int, seed: float, lambda1: float | None, pad: int,
+            rule: str) -> tuple[float, float | None, int]:
+    """``_terminal_seed``'s result, logged with the rule that chose the pad."""
+    log.debug("solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s; %s",
+              terminal.value, T, pad, seed, "n/a" if lambda1 is None else f"{lambda1:.6g}",
+              rule)
+    return seed, lambda1, pad
 
 
 def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:
@@ -429,48 +494,49 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             f"horizon {T} ends before the final balanced-growth segment "
             f"starting at {endowments.balanced_from}"
         )
-    seed_share, lambda1, pad = _terminal_seed(params, endowments, terminal)
+    # levels on first..T+1 first: the seed's probe reads dates T and T+1
+    e_y, e_o = endowments.levels(T + 2, first)
+    seed_share, _, pad = _terminal_seed(params, endowments, terminal, T,
+                                        (e_y[T - first], e_y[T + 1 - first], e_o[T + 1 - first]))
     t_seed = T + pad
-    log.debug(
-        "solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s",
-        terminal.value, T, pad, seed_share,
-        "n/a" if lambda1 is None else f"{lambda1:.6g}",
-    )
+    more_y, more_o = endowments.levels(t_seed + 1, T + 2)
+    e_y += more_y
+    e_o += more_o
 
     agg, housing = params.agg, params.housing
-    e_y, e_o = endowments.levels(t_seed + 1)
-
-    shares = [0.0] * (t_seed + 1)
-    shares[t_seed] = float(seed_share)
-    P, r, c_y, residuals = ([0.0] * (stop - first) for _ in range(4))
+    # lists indexed by date - first, down to the seed at t_seed - first
+    n = stop - first
+    shares = [0.0] * (t_seed + 1 - first)
+    shares[-1] = float(seed_share)
+    P, r, c_y, residuals = ([0.0] * n for _ in range(4))
     # each date starts from the next date's root ``(u, y)``, stepped on as
     # ``_solve_share`` says; a zero seed leaves the first date to the cold start
     near = (seed_share, 1.0 - seed_share) if seed_share > 0.0 else None
     step = 0.0
     evaluations = worst = safeguards = 0
-    for t in range(t_seed - 1, first - 1, -1):
-        S_next = shares[t + 1] * e_y[t + 1]
-        share_next_scaled = shares[t + 1] * (e_y[t + 1] / e_y[t])
-        z_hat = (e_o[t + 1] + S_next) / e_y[t]
+    for i in range(t_seed - 1 - first, -1, -1):
+        S_next = shares[i + 1] * e_y[i + 1]
+        share_next_scaled = shares[i + 1] * (e_y[i + 1] / e_y[i])
+        z_hat = (e_o[i + 1] + S_next) / e_y[i]
         try:
             u, y, step, rent_scale, calls, steps = _solve_share(
-                agg, housing, share_next_scaled, z_hat, e_y[t], near, step)
+                agg, housing, share_next_scaled, z_hat, e_y[i], near, step)
         except HorizonError as exc:
-            raise HorizonError(f"{exc} (date {t}); shorten the horizon") from None
+            raise HorizonError(f"{exc} (date {first + i}); shorten the horizon") from None
         except SolverError as exc:
-            raise SolverError(f"{exc} (date {t})") from None
-        shares[t] = u
+            raise SolverError(f"{exc} (date {first + i})") from None
+        shares[i] = u
         near = (u, y)
         evaluations += calls
         safeguards += steps
         worst = max(worst, calls)
-        if t < stop:
+        if i < n:
             # priced, and c_y formed, at the y Newton solved for where it is
             # the smaller share: e_y - S would lose its precision as u nears 1
-            P[t - first], r[t - first], residuals[t - first] = _price_date(
+            P[i], r[i], residuals[i] = _price_date(
                 _terms(agg, housing.gamma, rent_scale, share_next_scaled, z_hat, u, y),
-                S_next, e_y[t], t)
-            c_y[t - first] = e_y[t] * y if y < u else e_y[t] - u * e_y[t]
+                S_next, e_y[i], first + i)
+            c_y[i] = e_y[i] * y if y < u else e_y[i] - u * e_y[i]
     if log.isEnabledFor(logging.DEBUG):
         largest = max(residuals)
         log.debug(
@@ -479,8 +545,7 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             evaluations, t_seed - first, worst, safeguards, largest,
             first + residuals.index(largest),
         )
-    return (e_y[first:stop], e_o[first:stop], shares[first:stop], P, r, c_y, residuals,
-            shares[stop] * e_y[stop])
+    return e_y[:n], e_o[:n], shares[:n], P, r, c_y, residuals, shares[n] * e_y[n]
 
 
 def _stitch(params: EconomyParams, announcements: Sequence[tuple[int, EndowmentPath]],

@@ -134,7 +134,7 @@ def mp_path(params, terminal, T, seed=None, pad=None):
     """
     if seed is None or pad is None:
         auto_seed, _, auto_pad = solver._terminal_seed(
-            params, EndowmentPath.from_params(params, T), terminal)
+            params, EndowmentPath.from_params(params, T), terminal, T)
         seed = auto_seed if seed is None else seed
         pad = auto_pad if pad is None else pad
     agg, housing = params.agg, params.housing

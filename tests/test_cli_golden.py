@@ -108,22 +108,22 @@ GOLDEN = {
         None,
     ),
     "solve-json": (0,
-        "262137f96a8b89d1f3342bf975d7e462c967ce1038de71cbc46f501fcade8b51",
+        "249196fc5afbfb023a145a2bd06e41c01efeff0ff2acaff806f25244bf18de0c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "solve-out": (0,
-        "a5e85fffa96866452bddc7b1435acc5f746f6f829d35c05114c47fc81ee7f6c5",
+        "da5f47ba69b5a69fdd9d88099cbba29dd378428759d7973e8b8c5073410b1bc9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "416546fdc767bcaa33edbfd43c8244df48ab7cf2bafcc01965cd72ad8a27fbad",
     ),
     "solve-fundamental": (0,
-        "ee4c7173769eede42159340b2561c8d79b60562f38c3f596cb5cb15d951c2c39",
+        "8eadd497aee323a47bc0ab127488f4cdc2bbcb6a46a011574d3887e1d2dcf05b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "solve-fundamental-json": (0,
-        "e8f5718a9603efab43e939a54b4c68cc91a632096aa582575f07f176220608cb",
+        "3b513f85e3becb0337eab9a109d25d8f9d66780623ae1b5b0b7ddd40d655a70a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
@@ -138,19 +138,19 @@ GOLDEN = {
         None,
     ),
     "scenario-csv": (0,
-        "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
+        "7ea6c59b13ec98ab81812fe427d4fbe954a330191eb1b4575c29b298b9bf8e33",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "scenario-json": (0,
-        "528d24d09ae91be6b8605dcf41d0e1471961e3c37eaff3e4cc7a13e7c14670db",
+        "362aa25d18bbc830e1c8e6e9ce0cf7dcc6fc05b9d6517b0b11ce539fdf824772",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "scenario-out": (0,
-        "19b5bdcf536f29095380276be2543461a9957097197360c3697189ac8e90437a",
+        "491f11f1bee421278872854b5a15e4dc55ba0e64039d791f4536a18154d81f61",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "27bf764962c747c7f24105a53f7b1d0c79a16e4ed5ffc39721d26eef62459a47",
+        "7ea6c59b13ec98ab81812fe427d4fbe954a330191eb1b4575c29b298b9bf8e33",
     ),
     "credit-csv": (0,
         "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
@@ -158,12 +158,12 @@ GOLDEN = {
         None,
     ),
     "credit-json": (0,
-        "a2ac3dfdc48e3550630b88367145b4d544fe9e24f5a6517ce4b38d0edbfcc51a",
+        "1f63f877854b30ad399fdab8b014b783c0427cf924eae61f8e276d4e9a660888",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
     "credit-out": (0,
-        "799c13527a1b2bdd948ff5a3dd10917881e48785ca83679def65f7ca960e9b47",
+        "0fde0d2dbcb7c241972414711e5ac4876b8eb33525466fbe226a70aa41ff086e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b38e7a7b9638b6c9597a4c0e8be940be2358b39972fcc281a68eff2c34a98a73",
     ),

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from olghousing.errors import (
 )
 from olghousing.preferences import CesAggregator, HousingUtility
 from olghousing.regimes import (EconomyParams, bubbly_steady_state, classify, credit_transform,
-                                thresholds)
+                                steady_state, thresholds)
 from olghousing.solver import (
     BeliefSchedule,
     EndowmentPath,
@@ -100,6 +101,18 @@ def test_rent_scale_overflow_names_the_date():
     params = make_params(gamma=2.5, G=3.0, e1=1.0, e2=1.0)
     with pytest.raises(HorizonError, match=r"rent scale .* \(date 449\)"):
         solve_path(params, None, TerminalKind.GAMMA_ABOVE_1, 300)
+
+
+def test_subnormal_endowment_seeds_the_fundamental_path_at_zero():
+    # e_y**(gamma - 1) overflows at the seed too: the level's share is not
+    # representable, so the zero seed with 28 e-foldings is planted, and the
+    # rent scale fails first at date 120, inside that pad
+    params = make_params(gamma=1e-6, e1=1e-322, e2=1.2e-322)
+    seed, _, pad = solver._terminal_seed(params, EndowmentPath.from_params(params, 20),
+                                         TerminalKind.FUNDAMENTAL, 20)
+    assert seed == 0.0 and pad > 100
+    with pytest.raises(HorizonError, match=r"rent scale .* \(date 120\)"):
+        solve_path(params, None, TerminalKind.FUNDAMENTAL, 20)
 
 
 def test_backward_step_interior_and_deterministic():
@@ -510,6 +523,88 @@ def test_seeded_economies_with_shares_near_one_solve():
             assert path.residuals.max() <= 1e-13, i
 
 
+def _long_pad(lambda1):
+    # three times the pad of 28 e-foldings of |lambda1|, at least 60 dates
+    return 3 * max(math.ceil(28.0 / math.log(abs(lambda1))), 60)
+
+
+def _long_pad_path(monkeypatch, params, terminal, T):
+    """The path seeded at share 0 (fundamental) or s* (bubbly) ``_long_pad`` dates past T.
+
+    No probe sizes this pad: the seed's error is contracted below
+    rounding at every reported date, however wrong the seed is.
+    """
+    rep = steady_state(params, terminal)
+    seed = 0.0 if terminal is TerminalKind.FUNDAMENTAL else rep.s_star
+    pad = _long_pad(rep.lambda1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_terminal_seed", lambda *args: (seed, rep.lambda1, pad))
+        return solve_path(params, None, terminal, T)
+
+
+def _saddle_draws(n, seed=28):
+    """``n`` seeded saddle draws of ``seeded_economies(1500)`` whose long-pad
+    reference keeps every endowment level finite, and four named ones.
+
+    Draw 144 (sigma 27.9, lambda1 -2.88) is far from its steady state at T
+    (probe d = 0.31), so the one-mode error model underestimates there; 1327
+    and 1354 sat above e^-28 under the pad of 28 e-foldings; 1295 has the
+    shortest probe-sized pad of the four.
+    """
+    named, saddles = [], []
+    for i, params, T in seeded_economies(1500):
+        terminal = classify(params).long_runs[-1]
+        if terminal not in (TerminalKind.FUNDAMENTAL, TerminalKind.BUBBLY):
+            continue
+        try:
+            rep = steady_state(params, terminal)
+        except ModelError:
+            continue
+        if not abs(rep.lambda1) > 1.0 + 1e-12:
+            continue
+        pad = _long_pad(rep.lambda1)
+        if ((T + pad + 1) * math.log(params.G) + math.log(max(params.e1, params.e2))
+                < math.log(sys.float_info.max)):
+            (named if i in (144, 1295, 1327, 1354) else saddles).append((i, params, terminal, T))
+    return named + random.Random(seed).sample(saddles, n)
+
+
+def test_probe_sized_pads_leave_at_most_e_minus_28(monkeypatch):
+    # the pad is sized for a 1e-14 seed error at T+1, which P_T, R_T and
+    # S_after read; measured on the 1,500 seeded draws, the worst saddle
+    # path sits 3.0e-13 from its long-pad path in S and P (draw 381, a zero
+    # seed), inside e^-28 at every reported date
+    cases = [("criterion-03", BUB, TerminalKind.BUBBLY, 200),
+             ("possibility", make_params(e1=100.0, e2=98.0), TerminalKind.BUBBLY, 200),
+             *_saddle_draws(36)]
+    checked = []
+    for i, params, terminal, T in cases:
+        try:
+            reference = _long_pad_path(monkeypatch, params, terminal, T)
+        except HorizonError:
+            # no path of this economy is representable: a price underflows
+            continue
+        path = solve_path(params, None, terminal, T)
+        assert np.allclose(path.S, reference.S, rtol=math.exp(-28.0), atol=0.0), i
+        assert np.allclose(path.P, reference.P, rtol=math.exp(-28.0), atol=0.0), i
+        checked.append(i)
+    assert {"criterion-03", "possibility", 144, 1295, 1327, 1354} <= set(checked)
+    assert len(checked) >= 30
+
+
+@pytest.mark.parametrize("params,terminal", [
+    (make_params(e1=106.387036, e2=93.721941), TerminalKind.BUBBLY),
+    (make_params(e1=95.119684, e2=106.030036), TerminalKind.FUNDAMENTAL),
+], ids=["bubbly", "fundamental"])
+def test_the_horizon_counts_toward_the_pad(params, terminal):
+    # the seed's error decays with the rent wedge G**((gamma - 1) t), so a
+    # longer horizon needs no longer pad, and at T = 2000 almost none
+    pads = [solver._terminal_seed(params, EndowmentPath.from_params(params, T), terminal, T)[2]
+            for T in (1, 10, 50, 100, 200, 400, 800, 2000)]
+    assert pads == sorted(pads, reverse=True)
+    assert pads[0] > 100 and pads[-1] <= 3
+
+
 # the fuzz draw whose gamma (1.0574) sits just above 1, T = 300
 DRAW_230 = next(params for i, params, _ in seeded_economies(231) if i == 230)
 
@@ -633,7 +728,8 @@ def test_paths_need_few_aggregator_calls(monkeypatch, gamma, e1, e2, terminal, T
 
 def test_each_date_is_decided_once(monkeypatch):
     # the long-horizon bubbly configuration: each date's share is solved
-    # once, and the date priced from that solve's rent scale
+    # once, and the date priced from that solve's rent scale; one more solve
+    # is the terminal seed's probe step at date T
     params = make_params(e1=106.387036, e2=93.721941)
     T = 2000
     built = [0]
@@ -646,9 +742,10 @@ def test_each_date_is_decided_once(monkeypatch):
     monkeypatch.setattr(solver, "_solve_share", counted)
     calls = count_aggregator_calls(monkeypatch)
     solve_path(params, None, TerminalKind.BUBBLY, T)
+    solved = built[0]
     pad = solver._terminal_seed(params, EndowmentPath.from_params(params, T),
-                                TerminalKind.BUBBLY)[2]
-    assert built[0] == T + pad
+                                TerminalKind.BUBBLY, T)[2]
+    assert solved == T + pad + 1
     assert calls[0] <= 2.55 * (T + 1)
 
 
@@ -669,13 +766,35 @@ def test_solve_path_logs_its_root_finding_effort(caplog):
     residual, date = float(match[5]), int(match[6])
     assert 0 <= date <= T and path.residuals[date] == path.residuals.max()
     assert residual == float(f"{path.residuals.max():.3g}")
+    # the seed line names the pad, the probe's d and the error predicted at T+1
+    seeds = [r.getMessage() for r in caplog.records if "seed_share" in r.getMessage()]
+    assert len(seeds) == 1
+    match = re.fullmatch(r"solve_path: terminal=Bubbly T=200 pad=(\d+) seed_share=0\.047619 "
+                         r"lambda1=(\S+); probe d=(\S+), predicted error (\S+) at date T\+1",
+                         seeds[0])
+    assert match, seeds[0]
+    assert int(match[1]) == dates - T and abs(float(match[2])) > 1.0
+    assert 0.0 < abs(float(match[3])) < 1.0 and 0.0 < float(match[4]) <= 1e-14
+
+
+@pytest.mark.parametrize("params,terminal,rule", [
+    (GAMMA1, TerminalKind.GAMMA1, "fallback: exact seed"),
+    (GAMMA15, TerminalKind.GAMMA_ABOVE_1, "fallback: fixed GammaAbove1 pad"),
+    (_near_w_f_star(None), TerminalKind.FUNDAMENTAL,
+     "fallback: zero seed, 28 e-foldings of |lambda1|"),
+], ids=["gamma1", "gamma-above-1", "near-w-f-star"])
+def test_solve_path_logs_the_fallback_that_chose_the_pad(caplog, params, terminal, rule):
+    caplog.set_level(logging.DEBUG, logger="olghousing.solver")
+    solve_path(params, None, terminal, 50)
+    seeds = [r.getMessage() for r in caplog.records if "seed_share" in r.getMessage()]
+    assert len(seeds) == 1 and seeds[0].endswith("; " + rule), seeds
 
 
 def test_error_messages_print_plain_floats(monkeypatch):
     # a zero fundamental seed one date past T prices date T at exactly 0
     params = make_params(e1=94.0, e2=106.0)
     seed = solver._terminal_seed
-    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (*seed(*args)[:2], 1))
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (0.0, seed(*args)[1], 1))
     with pytest.raises(HorizonError) as info:
         solve_path(params, None, TerminalKind.FUNDAMENTAL, 50)
     message = str(info.value)
@@ -811,9 +930,11 @@ def test_scenario_solves_each_belief_only_from_its_announcement(monkeypatch):
 
     monkeypatch.setattr(solver, "_solve_share", counted)
     sc = solve_scenario(params, BeliefSchedule(tuple(beliefs)), beliefs[-1][1], kinds, T)
-    pads = [solver._terminal_seed(params, believed, kind)[2]
+    count = solved[0]
+    pads = [solver._terminal_seed(params, believed, kind, T)[2]
             for (_, believed), kind in zip(beliefs, kinds)]
-    assert solved[0] == sum(T + pad - a for (a, _), pad in zip(beliefs, pads))
+    # each belief's dates, and its terminal seed's probe step at date T
+    assert count == sum(T + pad - a + 1 for (a, _), pad in zip(beliefs, pads))
 
     bounds = [a for a, _ in beliefs] + [T + 1]
     for k, ((a, believed), kind) in enumerate(zip(beliefs, kinds)):
