@@ -133,6 +133,7 @@ def tail_growth(series, window: int = DEFAULT_WINDOW) -> float:
 
 def _tail_arguments(path: EquilibriumPath, delta: float, window: int) -> tuple[float, int]:
     """``(delta, window)`` as checked, once the window fits the final balanced-growth segment."""
+    check(path, EquilibriumPath, name="path")
     delta = check(delta, name="delta", **DELTA)
     window = check(window, name="window", **WINDOW)
     available = path.T - path.balanced_from + 1

@@ -51,13 +51,13 @@ class ConfigError(ModelError, ValueError):
 
 def check(value, kind: type = float, *, name: str | None = None, above: float | None = None,
           at_least: float | None = None, below: float | None = None):
-    """``value`` as a ``kind`` (an int, a float, or an ``Enum``), if it is one within its bounds.
+    """``value`` as a ``kind`` (int, float, ``Enum`` or any class), if it is one within its bounds.
 
     An int is any ``numbers.Integral`` (a numpy integer too), and a float
     is a float or an int; a bool is neither. A float must be finite, so an
     int beyond the float range is not one. An enum takes a member or its
-    value. Otherwise raises ``DomainError``, its message prefixed by
-    ``name: `` when a name is given.
+    value, and any other class its instances. Otherwise raises
+    ``DomainError``, its message prefixed by ``name: `` when a name is given.
     """
     number = kind is not int
     if issubclass(kind, Enum):
@@ -65,6 +65,10 @@ def check(value, kind: type = float, *, name: str | None = None, above: float | 
             return kind(value)
         except ValueError:
             reason = f"must be one of {tuple(member.value for member in kind)}"
+    elif kind not in (int, float):
+        if isinstance(value, kind):
+            return value
+        reason = f"expected a {kind.__name__}"
     elif (not isinstance(value, (float, Integral) if number else Integral)
             or isinstance(value, bool) or number and not abs(value) <= sys.float_info.max):
         reason = f"expected {'a finite number' if number else 'an integer'}"

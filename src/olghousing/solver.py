@@ -21,10 +21,10 @@ import logging
 import math
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
 
 from .errors import (DomainError, HorizonError, SolverError, bounded, bounded_as, check,
                      check_fields)
@@ -99,7 +99,8 @@ class EndowmentPath:
         check_fields(self)
         if not self.segments:
             raise DomainError("endowment path needs at least one segment")
-        segs = tuple(self.segments)
+        segs = tuple(check(seg, Segment, name=f"segments[{i}]")
+                     for i, seg in enumerate(self.segments))
         object.__setattr__(self, "segments", segs)
         if segs[0].start != 0:
             raise DomainError(f"first segment must start at date 0, got {segs[0].start}")
@@ -163,7 +164,8 @@ class BeliefSchedule:
     announcements: tuple[tuple[int, EndowmentPath], ...]
 
     def __post_init__(self):
-        ann = tuple((check(a, int, name=f"announcements[{i}] date", at_least=0), p)
+        ann = tuple((check(a, int, name=f"announcements[{i}] date", at_least=0),
+                     check(p, EndowmentPath, name=f"announcements[{i}] path"))
                     for i, (a, p) in enumerate(self.announcements))
         object.__setattr__(self, "announcements", ann)
         if not ann:
@@ -359,92 +361,77 @@ def backward_step(housing: HousingUtility, agg: CesAggregator,
     return share * e_y_t
 
 
+def _pad(error: float, log_contraction: float) -> int:
+    """The smallest p >= 1 with ``error * exp(-log_contraction)**(p - 1) <= _SEED_TOL``,
+    at most ``_MAX_PAD`` (which an error that does not shrink takes)."""
+    if not error > _SEED_TOL:
+        return 1
+    if not log_contraction > 0.0:
+        return _MAX_PAD
+    dates = (math.log(error) - math.log(_SEED_TOL)) / log_contraction
+    return 1 + max(math.ceil(dates), 1) if dates < _MAX_PAD - 1 else _MAX_PAD
+
+
 def _terminal_seed(params: EconomyParams, endowments: EndowmentPath, terminal: TerminalKind,
-                   T: int, ends: tuple[float, float, float] | None = None
-                   ) -> tuple[float, float | None, int]:
-    """Terminal share seed, the slope ``lambda1`` at its steady state, and the pad.
+                   T: int) -> tuple[float, int]:
+    """Terminal share seed and its pad: the seed is the share at date T + pad.
 
-    The pad is the distance beyond the horizon T at which the seed is
-    planted; the seed is the share at date T + pad. A saddle long run is
-    seeded at its steady state: the bubbly share s*, or the fundamental
-    share ``s_star * e_y**(gamma - 1)`` of the detrended level. That seed
-    is off only by the rent wedge, which decays by lambda2 = G**(gamma - 1)
-    per date, and the backward recursion contracts its error by 1/|lambda1|
-    per date. So one step from the seed at T+1 measures the wedge left at
-    T: with ``d = u_T / seed(T) - 1`` and rho = lambda2/|lambda1|, a pad p
-    leaves about ``|d| * lambda2 * rho**(p - 1) / (1 - rho)`` relative
-    error at date T+1, the last date a reported value reads (P_T, R_T and
-    the expenditure after T), and the pad is the smallest p >= 1 that
-    brings this to ``_SEED_TOL``, at most ``_MAX_PAD``. ``ends`` holds the
-    levels that step reads, ``(e_y[T], e_y[T+1], e_o[T+1])``; without it
-    they are formed here.
-
-    Where the fundamental level is flagged unreliable (just above
+    A saddle long run is seeded at its steady state, the bubbly share s* or
+    the fundamental share ``s_star * e_y**(gamma - 1)`` of the detrended
+    level, with pad ``_pad(error, log_contraction)``: ``error`` is the
+    relative seed error pad 1 leaves at date T+1, the last date a reported
+    value reads (P_T, R_T and the expenditure after T). That seed is off by
+    the rent wedge, which decays by lambda2 = G**(gamma - 1) per date, while
+    the recursion contracts seed error by 1/|lambda1|; so a probe step from
+    the seed at T+1 gives ``d = u_T / seed(T) - 1`` and the error
+    ``|d| * lambda2 / (1 - rho)``, shrinking by rho = lambda2/|lambda1| per
+    date. Where the fundamental level is flagged unreliable (just above
     ``w_f_star``) or its share at T+1 is not in (0, 1/2), the seed is share
-    0 with a pad of 28 e-foldings of |lambda1| (60 to ``_MAX_PAD`` dates);
-    a steady-state seed whose probe step fails takes that pad too. An
-    exact seed, the gamma = 1 share or a bubbly share that is not a saddle,
-    takes pad 1; gamma > 1, which has no steady state, plants 1 - 1e-6 150
-    dates out.
+    0: error 1, shrinking by 1/|lambda1|, as for a failed probe step. An
+    exact seed (gamma = 1, or a bubbly share that is not a saddle) takes pad
+    1; gamma > 1, which has no steady state, plants 1 - 1e-6 150 dates out.
     """
     rep = steady_state(endowments.final_params(params), terminal)
+    (e_y_T, e_y_next), (_, e_o_next) = endowments.levels(T + 2, T)
+    fundamental = rep is not None and rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED
     if rep is None:
-        return _chosen(terminal, T, 1.0 - 1e-6, None, 150, "fallback: fixed GammaAbove1 pad")
-    lambda1 = rep.lambda1
-    fundamental = rep.kind is SteadyStateKind.FUNDAMENTAL_DETRENDED
-    if not fundamental and (rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH
-                            or not abs(lambda1) > 1.0 + 1e-12):
-        return _chosen(terminal, T, rep.s_star, lambda1, 1, "fallback: exact seed")
-    if ends is None:
-        young, old = endowments.levels(T + 2, T)
-        ends = (young[0], young[1], old[1])
-    e_y_T, e_y_next, e_o_next = ends
-    at_T = at_next = rep.s_star
-    if fundamental:
-        exponent = params.housing.gamma - 1.0
-        try:
-            at_T, at_next = rep.s_star * e_y_T ** exponent, rep.s_star * e_y_next ** exponent
-        except OverflowError:
-            # a subnormal young endowment: the level's share is not representable
-            at_T = at_next = math.inf
-        if rep.warning is not None or not 0.0 < at_next < 0.5:
-            return _chosen(terminal, T, 0.0, lambda1, _e_folding_pad(lambda1),
-                           "fallback: zero seed, 28 e-foldings of |lambda1|")
-    try:
-        u = _solve_share(params.agg, params.housing, at_next * (e_y_next / e_y_T),
-                         (e_o_next + at_next * e_y_next) / e_y_T, e_y_T,
-                         (at_next, 1.0 - at_next))[0]
-    except (HorizonError, SolverError):
-        pad, rule = _e_folding_pad(lambda1), "fallback: probe failed, 28 e-foldings of |lambda1|"
+        seed, pad, rule = 1.0 - 1e-6, 150, "fallback: fixed GammaAbove1 pad"
+    elif not fundamental and (rep.kind is SteadyStateKind.GAMMA1_BALANCED_GROWTH
+                              or not abs(rep.lambda1) > 1.0 + 1e-12):
+        seed, pad, rule = rep.s_star, 1, "fallback: exact seed"
     else:
-        d = u / at_T - 1.0
-        rho = rep.lambda2 / abs(lambda1)
-        # the error left at T+1 by pad 1; each further pad date multiplies it
-        # by rho (0 where |lambda1| overflows, so one date clears any error)
-        error = abs(d) * rep.lambda2 / (1.0 - rho)
-        pad = 1
-        if error > _SEED_TOL:
-            dates = (math.log(error) - math.log(_SEED_TOL)) / math.log(abs(lambda1) / rep.lambda2)
-            pad = min(1 + max(math.ceil(dates), 1), _MAX_PAD) if dates < _MAX_PAD else _MAX_PAD
-        rule = f"probe d={d:.3g}, predicted error {error * rho ** (pad - 1):.3g} at date T+1"
-    # the fundamental share falls by lambda2 per date along the seed's level
-    seed = at_next * rep.lambda2 ** (pad - 1) if fundamental else at_next
-    return _chosen(terminal, T, seed, lambda1, pad, rule)
-
-
-def _e_folding_pad(lambda1: float) -> int:
-    """28 e-foldings of |lambda1|, 60 to ``_MAX_PAD`` dates: a pad sized without a probe."""
-    rate = math.log(abs(lambda1)) if abs(lambda1) > 1.0 else 0.0
-    return max(math.ceil(28.0 / rate), 60) if rate > 28.0 / _MAX_PAD else _MAX_PAD
-
-
-def _chosen(terminal: TerminalKind, T: int, seed: float, lambda1: float | None, pad: int,
-            rule: str) -> tuple[float, float | None, int]:
-    """``_terminal_seed``'s result, logged with the rule that chose the pad."""
+        at_T = at_next = rep.s_star
+        if fundamental:
+            exponent = params.housing.gamma - 1.0
+            try:
+                at_T, at_next = rep.s_star * e_y_T ** exponent, rep.s_star * e_y_next ** exponent
+            except OverflowError:
+                # a subnormal young endowment: the level's share is not representable
+                at_T = at_next = math.inf
+        error, log_contraction = 1.0, math.log(abs(rep.lambda1))
+        if fundamental and (rep.warning is not None or not 0.0 < at_next < 0.5):
+            at_next, rule = 0.0, "fallback: zero seed"
+        else:
+            try:
+                u = _solve_share(params.agg, params.housing, at_next * (e_y_next / e_y_T),
+                                 (e_o_next + at_next * e_y_next) / e_y_T, e_y_T,
+                                 (at_next, 1.0 - at_next))[0]
+            except (HorizonError, SolverError):
+                rule = "fallback: probe failed"
+            else:
+                d = u / at_T - 1.0
+                # rho is 0 where |lambda1| overflows: one date clears any error
+                error = abs(d) * rep.lambda2 / (1.0 - rep.lambda2 / abs(rep.lambda1))
+                log_contraction = math.log(abs(rep.lambda1) / rep.lambda2)
+                rule = f"probe d={d:.3g}"
+        pad = _pad(error, log_contraction)
+        rule += (f", predicted error {error * math.exp(-log_contraction) ** (pad - 1):.3g}"
+                 " at date T+1")
+        # the fundamental share falls by lambda2 per date along the seed's level
+        seed = at_next * rep.lambda2 ** (pad - 1) if fundamental else at_next
     log.debug("solve_path: terminal=%s T=%d pad=%d seed_share=%.6g lambda1=%s; %s",
-              terminal.value, T, pad, seed, "n/a" if lambda1 is None else f"{lambda1:.6g}",
-              rule)
-    return seed, lambda1, pad
+              terminal.value, T, pad, seed, "n/a" if rep is None else f"{rep.lambda1:.6g}", rule)
+    return seed, pad
 
 
 def _price_date(terms: tuple, S_next: float, e_y_t: float, t: int) -> tuple[float, float, float]:
@@ -494,10 +481,9 @@ def _backward(params: EconomyParams, endowments: EndowmentPath, terminal: Termin
             f"horizon {T} ends before the final balanced-growth segment "
             f"starting at {endowments.balanced_from}"
         )
-    # levels on first..T+1 first: the seed's probe reads dates T and T+1
+    # levels on first..T+1 before the seed's, which reads dates T and T+1
     e_y, e_o = endowments.levels(T + 2, first)
-    seed_share, _, pad = _terminal_seed(params, endowments, terminal, T,
-                                        (e_y[T - first], e_y[T + 1 - first], e_o[T + 1 - first]))
+    seed_share, pad = _terminal_seed(params, endowments, terminal, T)
     t_seed = T + pad
     more_y, more_o = endowments.levels(t_seed + 1, T + 2)
     e_y += more_y
@@ -602,6 +588,7 @@ def solve_path(params: EconomyParams,
         raise HorizonError(f"horizon must be at least 1, got {T}")
     if endowments is None:
         endowments = EndowmentPath.from_params(params, T)
+    check(endowments, EndowmentPath, name="endowments")
     return _stitch(params, ((0, endowments),), (terminal,), T, endowments)
 
 
@@ -619,8 +606,14 @@ def solve_scenario(params: EconomyParams,
     (across a revision date, R uses the post-revision expenditure, which is
     where the one-time surprise shows). ``terminals`` gives the long-run
     kind per announcement.
+
+    Each belief must agree with the realized endowments, to 1e-12 relative,
+    on the dates it is active, or the call is a domain error; before its
+    announcement, where it is not solved, a belief may differ.
     """
-    announcements = schedule.announcements
+    announcements = check(schedule, BeliefSchedule, name="schedule").announcements
+    check(realized, EndowmentPath, name="realized")
+    check(terminals, Sequence, name="terminals")
     if len(terminals) != len(announcements):
         raise DomainError(
             f"got {len(terminals)} terminal kinds for {len(announcements)} announcements"
@@ -636,8 +629,8 @@ def solve_scenario(params: EconomyParams,
     ends = [a for a, _ in announcements[1:]] + [T + 1]
     real_y, real_o = realized.levels(T + 1)
     for (a_k, believed), end in zip(announcements, ends):
-        believed_y, believed_o = believed.levels(end)
-        for t, (by, bo, ry, ro) in enumerate(zip(believed_y, believed_o, real_y, real_o)):
+        for t, by, bo in zip(range(a_k, end), *believed.levels(end, a_k)):
+            ry, ro = real_y[t], real_o[t]
             if not (math.isclose(by, ry, rel_tol=1e-12) and math.isclose(bo, ro, rel_tol=1e-12)):
                 raise DomainError(
                     f"belief announced at {a_k} disagrees with realized endowments "

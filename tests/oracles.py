@@ -133,7 +133,7 @@ def mp_path(params, terminal, T, seed=None, pad=None):
     lists of mpf shares.
     """
     if seed is None or pad is None:
-        auto_seed, _, auto_pad = solver._terminal_seed(
+        auto_seed, auto_pad = solver._terminal_seed(
             params, EndowmentPath.from_params(params, T), terminal, T)
         seed = auto_seed if seed is None else seed
         pad = auto_pad if pad is None else pad

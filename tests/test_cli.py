@@ -760,8 +760,7 @@ def test_tail_window_beyond_final_segment_rejected_before_solving(tmp_path, caps
 
 def test_horizon_error_message_prints_plain_floats(tmp_path, capsys, monkeypatch):
     # a zero fundamental seed one date past T prices date T at exactly 0
-    seed = solver._terminal_seed
-    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (0.0, seed(*args)[1], 1))
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (0.0, 1))
     doc = dict(BASE, e1=94.0, e2=106.0, T=50)
     code, out, err = run_main(capsys, ["solve", "--config", write_config(tmp_path, doc)])
     assert code == 2 and out == ""

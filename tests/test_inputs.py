@@ -3,8 +3,12 @@
 Every checked argument of the model objects and of ``backward_step``,
 ``credit_transform``, ``BeliefSchedule``, the horizon ``T`` and the
 verdicts' ``window`` and ``delta`` is a number, not a bool, finite and
-within its bound, and a long-run name is one of its enum's, or the call
-raises ``DomainError`` naming the argument; accepted values are stored as
+within its bound, a long-run name is one of its enum's, and an object
+argument (the endowment paths of ``solve_path`` and ``solve_scenario``,
+the belief schedule, the terminal kinds' sequence, each ``Segment`` of an
+``EndowmentPath``, each path of a ``BeliefSchedule`` and the path the
+verdicts read) is an instance of its class, or the call raises
+``DomainError`` naming the argument; accepted numbers are stored as
 floats. The CLI reads its config keys through the same check, and its
 economy, tail-window, delta and loan-ratio keys take their bounds from the
 library's declarations.
@@ -74,6 +78,18 @@ CALLS = {
     "efficiency-delta-negative": (lambda: efficiency_test(PATH, delta=-1.0), "delta"),
     "tail-growth-window-fraction": (lambda: tail_growth([1.0] * 40, 2.5), "window"),
     "tail-growth-huge-int": (lambda: tail_growth([1.0] * 40 + [HUGE], 20), "series"),
+    # object arguments: each raised TypeError or AttributeError, or was
+    # accepted and failed later, before they went through the check
+    "terminals-none": (lambda: solve_scenario(PARAMS, SCHEDULE, BELIEF, None, 50), "terminals"),
+    "schedule-string": (lambda: solve_scenario(PARAMS, "x", BELIEF, ("Bubbly",), 50),
+                        "schedule"),
+    "realized-none": (lambda: solve_scenario(PARAMS, SCHEDULE, None, ("Bubbly",), 50),
+                      "realized"),
+    "segment-string": (lambda: EndowmentPath(("x",), 5), "segments[0]"),
+    "belief-path-string": (lambda: BeliefSchedule(((0, "x"),)), "announcements[0] path"),
+    "endowments-string": (lambda: solve_path(PARAMS, "x", "Bubbly", 50), "endowments"),
+    "bubble-path-string": (lambda: detect_bubble("x"), "path"),
+    "efficiency-path-none": (lambda: efficiency_test(None), "path"),
 }
 
 

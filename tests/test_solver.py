@@ -105,13 +105,14 @@ def test_rent_scale_overflow_names_the_date():
 
 def test_subnormal_endowment_seeds_the_fundamental_path_at_zero():
     # e_y**(gamma - 1) overflows at the seed too: the level's share is not
-    # representable, so the zero seed with 28 e-foldings is planted, and the
-    # rent scale fails first at date 120, inside that pad
+    # representable, so the zero seed is planted, 1 + ceil(ln(1e14)/ln 1.32)
+    # = 118 dates out, and the rent scale fails first at date 137, inside
+    # that pad
     params = make_params(gamma=1e-6, e1=1e-322, e2=1.2e-322)
-    seed, _, pad = solver._terminal_seed(params, EndowmentPath.from_params(params, 20),
-                                         TerminalKind.FUNDAMENTAL, 20)
+    seed, pad = solver._terminal_seed(params, EndowmentPath.from_params(params, 20),
+                                      TerminalKind.FUNDAMENTAL, 20)
     assert seed == 0.0 and pad > 100
-    with pytest.raises(HorizonError, match=r"rent scale .* \(date 120\)"):
+    with pytest.raises(HorizonError, match=r"rent scale .* \(date 137\)"):
         solve_path(params, None, TerminalKind.FUNDAMENTAL, 20)
 
 
@@ -339,7 +340,7 @@ def test_seed_pad_override_agrees_with_auto(monkeypatch):
     # the automatic pad is long enough: a 400-period pad gives the same path
     auto = solve_path(BUB, None, TerminalKind.BUBBLY, 100)
     seed = solver._terminal_seed
-    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (*seed(*args)[:2], 400))
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (seed(*args)[0], 400))
     manual = solve_path(BUB, None, TerminalKind.BUBBLY, 100)
     assert np.allclose(auto.S, manual.S, rtol=1e-12, atol=0.0)
 
@@ -538,18 +539,23 @@ def _long_pad_path(monkeypatch, params, terminal, T):
     seed = 0.0 if terminal is TerminalKind.FUNDAMENTAL else rep.s_star
     pad = _long_pad(rep.lambda1)
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_terminal_seed", lambda *args: (seed, rep.lambda1, pad))
+        patch.setattr(solver, "_terminal_seed", lambda *args: (seed, pad))
         return solve_path(params, None, terminal, T)
+
+
+NAMED_DRAWS = (84, 144, 381, 1037, 1295, 1327, 1354)
 
 
 def _saddle_draws(n, seed=28):
     """``n`` seeded saddle draws of ``seeded_economies(1500)`` whose long-pad
-    reference keeps every endowment level finite, and four named ones.
+    reference keeps every endowment level finite, and seven named ones.
 
     Draw 144 (sigma 27.9, lambda1 -2.88) is far from its steady state at T
     (probe d = 0.31), so the one-mode error model underestimates there; 1327
     and 1354 sat above e^-28 under the pad of 28 e-foldings; 1295 has the
-    shortest probe-sized pad of the four.
+    shortest probe-sized pad of the four. Draws 84, 381 and 1037 take the
+    zero seed at pad 2, its error 1 shrunk past 1e-14 in one date by
+    |lambda1| (1e17 to 3e91).
     """
     named, saddles = [], []
     for i, params, T in seeded_economies(1500):
@@ -565,15 +571,15 @@ def _saddle_draws(n, seed=28):
         pad = _long_pad(rep.lambda1)
         if ((T + pad + 1) * math.log(params.G) + math.log(max(params.e1, params.e2))
                 < math.log(sys.float_info.max)):
-            (named if i in (144, 1295, 1327, 1354) else saddles).append((i, params, terminal, T))
+            (named if i in NAMED_DRAWS else saddles).append((i, params, terminal, T))
     return named + random.Random(seed).sample(saddles, n)
 
 
 def test_probe_sized_pads_leave_at_most_e_minus_28(monkeypatch):
     # the pad is sized for a 1e-14 seed error at T+1, which P_T, R_T and
     # S_after read; measured on the 1,500 seeded draws, the worst saddle
-    # path sits 3.0e-13 from its long-pad path in S and P (draw 381, a zero
-    # seed), inside e^-28 at every reported date
+    # path sits 3.1e-13 from its long-pad path in S and P (draw 381, a zero
+    # seed at pad 2), inside e^-28 at every reported date
     cases = [("criterion-03", BUB, TerminalKind.BUBBLY, 200),
              ("possibility", make_params(e1=100.0, e2=98.0), TerminalKind.BUBBLY, 200),
              *_saddle_draws(36)]
@@ -588,7 +594,7 @@ def test_probe_sized_pads_leave_at_most_e_minus_28(monkeypatch):
         assert np.allclose(path.S, reference.S, rtol=math.exp(-28.0), atol=0.0), i
         assert np.allclose(path.P, reference.P, rtol=math.exp(-28.0), atol=0.0), i
         checked.append(i)
-    assert {"criterion-03", "possibility", 144, 1295, 1327, 1354} <= set(checked)
+    assert {"criterion-03", "possibility", *NAMED_DRAWS} <= set(checked)
     assert len(checked) >= 30
 
 
@@ -599,7 +605,7 @@ def test_probe_sized_pads_leave_at_most_e_minus_28(monkeypatch):
 def test_the_horizon_counts_toward_the_pad(params, terminal):
     # the seed's error decays with the rent wedge G**((gamma - 1) t), so a
     # longer horizon needs no longer pad, and at T = 2000 almost none
-    pads = [solver._terminal_seed(params, EndowmentPath.from_params(params, T), terminal, T)[2]
+    pads = [solver._terminal_seed(params, EndowmentPath.from_params(params, T), terminal, T)[1]
             for T in (1, 10, 50, 100, 200, 400, 800, 2000)]
     assert pads == sorted(pads, reverse=True)
     assert pads[0] > 100 and pads[-1] <= 3
@@ -744,7 +750,7 @@ def test_each_date_is_decided_once(monkeypatch):
     solve_path(params, None, TerminalKind.BUBBLY, T)
     solved = built[0]
     pad = solver._terminal_seed(params, EndowmentPath.from_params(params, T),
-                                TerminalKind.BUBBLY, T)[2]
+                                TerminalKind.BUBBLY, T)[1]
     assert solved == T + pad + 1
     assert calls[0] <= 2.55 * (T + 1)
 
@@ -777,13 +783,54 @@ def test_solve_path_logs_its_root_finding_effort(caplog):
     assert 0.0 < abs(float(match[3])) < 1.0 and 0.0 < float(match[4]) <= 1e-14
 
 
-@pytest.mark.parametrize("params,terminal,rule", [
-    (GAMMA1, TerminalKind.GAMMA1, "fallback: exact seed"),
-    (GAMMA15, TerminalKind.GAMMA_ABOVE_1, "fallback: fixed GammaAbove1 pad"),
+@pytest.mark.parametrize("error,log_contraction,pad", [
+    # within the tolerance at pad 1
+    (1e-14, 1.0, 1),
+    (0.0, 0.0, 1),
+    # an error that does not shrink, or shrinks too slowly, takes the cap
+    (1.0, 0.0, solver._MAX_PAD),
+    (1.0, -0.5, solver._MAX_PAD),
+    (1.0, 1e-13, solver._MAX_PAD),
+    # one date clears any error
+    (1.0, math.inf, 2),
+    # the smallest pad that meets the tolerance
+    (1.0, 0.3, None),
+    (2.5e-3, 2.0, None),
+    (1.01e-14, 1e-3, None),
+], ids=["within", "zero-error", "zero-contraction", "growing", "capped", "infinite-contraction",
+        "generic", "fast", "just-above"])
+def test_pad_is_the_smallest_that_meets_the_tolerance(error, log_contraction, pad):
+    got = solver._pad(error, log_contraction)
+    if pad is not None:
+        assert got == pad
+    else:
+        # the tolerance is met at the pad, and not one date earlier
+        assert 2 <= got < solver._MAX_PAD
+        assert error * math.exp(-log_contraction) ** (got - 1) <= solver._SEED_TOL
+        assert error * math.exp(-log_contraction) ** (got - 2) > solver._SEED_TOL
+
+
+@pytest.mark.parametrize("params,terminal,rule,probe_fails", [
+    (GAMMA1, TerminalKind.GAMMA1, "fallback: exact seed", False),
+    (GAMMA15, TerminalKind.GAMMA_ABOVE_1, "fallback: fixed GammaAbove1 pad", False),
     (_near_w_f_star(None), TerminalKind.FUNDAMENTAL,
-     "fallback: zero seed, 28 e-foldings of |lambda1|"),
-], ids=["gamma1", "gamma-above-1", "near-w-f-star"])
-def test_solve_path_logs_the_fallback_that_chose_the_pad(caplog, params, terminal, rule):
+     "fallback: zero seed, predicted error 1 at date T+1", False),
+    (BUB, TerminalKind.BUBBLY, "fallback: probe failed, predicted error 9.13e-15 at date T+1",
+     True),
+], ids=["gamma1", "gamma-above-1", "near-w-f-star", "probe-failed"])
+def test_solve_path_logs_the_fallback_that_chose_the_pad(caplog, monkeypatch, params, terminal,
+                                                         rule, probe_fails):
+    if probe_fails:
+        # the first share solved is the probe's, at date T
+        original, solved = solver._solve_share, []
+
+        def failing_probe(*args):
+            solved.append(args)
+            if len(solved) == 1:
+                raise SolverError("share root vanished below representable range")
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_solve_share", failing_probe)
     caplog.set_level(logging.DEBUG, logger="olghousing.solver")
     solve_path(params, None, terminal, 50)
     seeds = [r.getMessage() for r in caplog.records if "seed_share" in r.getMessage()]
@@ -793,8 +840,7 @@ def test_solve_path_logs_the_fallback_that_chose_the_pad(caplog, params, termina
 def test_error_messages_print_plain_floats(monkeypatch):
     # a zero fundamental seed one date past T prices date T at exactly 0
     params = make_params(e1=94.0, e2=106.0)
-    seed = solver._terminal_seed
-    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (0.0, seed(*args)[1], 1))
+    monkeypatch.setattr(solver, "_terminal_seed", lambda *args: (0.0, 1))
     with pytest.raises(HorizonError) as info:
         solve_path(params, None, TerminalKind.FUNDAMENTAL, 50)
     message = str(info.value)
@@ -931,7 +977,7 @@ def test_scenario_solves_each_belief_only_from_its_announcement(monkeypatch):
     monkeypatch.setattr(solver, "_solve_share", counted)
     sc = solve_scenario(params, BeliefSchedule(tuple(beliefs)), beliefs[-1][1], kinds, T)
     count = solved[0]
-    pads = [solver._terminal_seed(params, believed, kind, T)[2]
+    pads = [solver._terminal_seed(params, believed, kind, T)[1]
             for (_, believed), kind in zip(beliefs, kinds)]
     # each belief's dates, and its terminal seed's probe step at date T
     assert count == sum(T + pad - a + 1 for (a, _), pad in zip(beliefs, pads))
@@ -995,5 +1041,12 @@ def test_scenario_validation_errors():
     # belief 1 disagrees with realized endowments while it is active
     other = EndowmentPath((Segment(0, 95.0, 105.0, 1.1), Segment(40, 104.0, 95.0, 1.1),
                            Segment(80, 95.0, 105.0, 1.1)), 120)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(
+            "belief announced at 40 disagrees with realized endowments at date 40 "
+            "(believed (4752.22, 4299.63), realized (4706.96, 4299.63))")):
         solve_scenario(FUND, schedule, other, SCENARIO_TERMINALS, 120)
+    # a belief may differ from them before its announcement, where it is not solved
+    early = EndowmentPath((Segment(0, 100.0, 100.0, 1.1), Segment(40, 105.0, 95.0, 1.1)), 120)
+    accepted = BeliefSchedule(((0, BASE_BELIEF), (40, early), (80, FULL_BELIEF)))
+    sc = solve_scenario(FUND, accepted, FULL_BELIEF, SCENARIO_TERMINALS, 120)
+    assert sc.P == solve_scenario(FUND, schedule, FULL_BELIEF, SCENARIO_TERMINALS, 120).P
